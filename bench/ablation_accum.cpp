@@ -56,7 +56,6 @@ int main() {
         core::GradInfo gi = core::generateGradient(mod, "lulesh", gc);
         passes::optimizeGradient(mod, gi.name);
         auto gr = apps::lulesh::runGradient(mod, gi, cfg, th);
-        applyPlanCounts(gr.stats, gi.plan);
         if (th == 1) g1 = gr.makespan;
         t.addRow({"LULESH omp", m.name, std::to_string(th),
                   Table::num(gr.makespan, 0),
@@ -70,7 +69,7 @@ int main() {
         json.str("app", "lulesh_omp");
         json.str("mode", m.tag);
         json.num("threads", th);
-        json.stats(gr.makespan, gr.stats);
+        json.stats(gr.makespan, gr.stats, gi.plan);
       }
       if (m.allAtomic == false && m.reductionSlots)
         autoRemarks = remarks;
@@ -102,7 +101,6 @@ int main() {
         core::GradInfo gi = core::generateGradient(mod, "bude", gc);
         passes::optimizeGradient(mod, gi.name);
         auto gr = apps::minibude::runGradient(mod, gi, cfg, th);
-        applyPlanCounts(gr.stats, gi.plan);
         if (th == 1) g1 = gr.makespan;
         t.addRow({"miniBUDE omp", m.name, std::to_string(th),
                   Table::num(gr.makespan, 0),
@@ -116,7 +114,7 @@ int main() {
         json.str("app", "minibude_omp");
         json.str("mode", m.tag);
         json.num("threads", th);
-        json.stats(gr.makespan, gr.stats);
+        json.stats(gr.makespan, gr.stats, gi.plan);
       }
       if (m.allAtomic == false && m.reductionSlots)
         autoRemarks = remarks;

@@ -39,7 +39,6 @@ int main() {
       passes::optimizeGradient(mod, gi.name);
       double fwd = apps::lulesh::runPrimal(mod, cfg, 16).makespan;
       auto gr = apps::lulesh::runGradient(mod, gi, cfg, 16);
-      applyPlanCounts(gr.stats, gi.plan);
       a.addRow({"LULESH omp", opt ? "on" : "off",
                 std::to_string(gi.numCachedValues),
                 std::to_string(gi.plan.cacheRecompute),
@@ -49,7 +48,7 @@ int main() {
       json.row(std::string("lulesh_omp ompopt_") + (opt ? "on" : "off"));
       json.str("app", "lulesh_omp");
       json.str("ompopt", opt ? "on" : "off");
-      json.stats(gr.makespan, gr.stats);
+      json.stats(gr.makespan, gr.stats, gi.plan);
       if (!opt)
         unopt = remarks;
       else
@@ -68,7 +67,6 @@ int main() {
       core::GradInfo gi = apps::minibude::buildGradient(mod);
       double fwd = apps::minibude::runPrimal(mod, cfg, 16).makespan;
       auto gr = apps::minibude::runGradient(mod, gi, cfg, 16);
-      applyPlanCounts(gr.stats, gi.plan);
       a.addRow({"miniBUDE omp", opt ? "on" : "off",
                 std::to_string(gi.numCachedValues),
                 std::to_string(gi.plan.cacheRecompute),
@@ -78,7 +76,7 @@ int main() {
       json.row(std::string("minibude_omp ompopt_") + (opt ? "on" : "off"));
       json.str("app", "minibude_omp");
       json.str("ompopt", opt ? "on" : "off");
-      json.stats(gr.makespan, gr.stats);
+      json.stats(gr.makespan, gr.stats, gi.plan);
     }
   }
   a.print();
@@ -101,7 +99,6 @@ int main() {
       int merged = 0;
       if (merge) merged = passes::mergeAdjacentForks(mod, gi.name);
       auto gr = apps::minibude::runGradient(mod, gi, cfg, 16);
-      applyPlanCounts(gr.stats, gi.plan);
       bT.addRow({"miniBUDE omp", merge ? "on" : "off", std::to_string(merged),
                  Table::num(gr.makespan, 0)});
       json.row(std::string("minibude_omp fork_merge_") +
@@ -109,7 +106,7 @@ int main() {
       json.str("app", "minibude_omp");
       json.str("fork_merge", merge ? "on" : "off");
       json.num("merged_forks", merged);
-      json.stats(gr.makespan, gr.stats);
+      json.stats(gr.makespan, gr.stats, gi.plan);
     }
   }
   bT.print();

@@ -49,19 +49,6 @@ inline PreparedLulesh prepareLulesh(const LuleshVariant& v) {
   return out;
 }
 
-/// Copies the static plan-decision counts of a generated gradient into the
-/// run's dynamic stats so one record carries both.
-inline void applyPlanCounts(psim::RunStats& stats,
-                            const core::PlanCounts& plan) {
-  stats.planAccumSerial = static_cast<std::uint64_t>(plan.accumSerial);
-  stats.planAccumReductionSlot =
-      static_cast<std::uint64_t>(plan.accumReductionSlot);
-  stats.planAccumAtomic = static_cast<std::uint64_t>(plan.accumAtomic);
-  stats.planCacheRecompute = static_cast<std::uint64_t>(plan.cacheRecompute);
-  stats.planCacheSlots = static_cast<std::uint64_t>(plan.cacheFnSlots);
-  stats.planCacheTripArrays = static_cast<std::uint64_t>(plan.cacheTripArrays);
-}
-
 /// Prints the plan decisions that differ between a baseline gradient and an
 /// ablated one, using their remark streams (src/core/remarks.h). This is how
 /// the ablation tables answer "*which* decisions flipped", not just "how many".
@@ -113,22 +100,21 @@ class BenchJson {
   void str(const std::string& key, std::string value) {
     rows_.back().strs.emplace_back(key, std::move(value));
   }
-  /// Timing + dynamic-cost + plan-count block shared by all benches.
-  void stats(double ns, const psim::RunStats& s) {
+  /// Timing + dynamic-cost + plan-count block shared by all benches: the
+  /// run's dynamic costs beside the static plan decisions that produced them.
+  void stats(double ns, const psim::RunStats& s, const core::PlanCounts& p) {
     num("virtual_ns", ns);
     num("atomic_ops", static_cast<double>(s.atomicOps));
     num("messages", static_cast<double>(s.messages));
     num("cache_bytes", static_cast<double>(s.cacheBytes));
     num("tape_bytes", static_cast<double>(s.tapeBytes));
     num("peak_live_bytes", static_cast<double>(s.peakLiveBytes));
-    num("plan_accum_serial", static_cast<double>(s.planAccumSerial));
-    num("plan_accum_reduction_slot",
-        static_cast<double>(s.planAccumReductionSlot));
-    num("plan_accum_atomic", static_cast<double>(s.planAccumAtomic));
-    num("plan_cache_recompute", static_cast<double>(s.planCacheRecompute));
-    num("plan_cache_fn_slots", static_cast<double>(s.planCacheSlots));
-    num("plan_cache_trip_arrays",
-        static_cast<double>(s.planCacheTripArrays));
+    num("plan_accum_serial", p.accumSerial);
+    num("plan_accum_reduction_slot", p.accumReductionSlot);
+    num("plan_accum_atomic", p.accumAtomic);
+    num("plan_cache_recompute", p.cacheRecompute);
+    num("plan_cache_fn_slots", p.cacheFnSlots);
+    num("plan_cache_trip_arrays", p.cacheTripArrays);
   }
 
   void write() const {

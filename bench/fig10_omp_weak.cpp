@@ -36,7 +36,6 @@ int main() {
       PreparedLulesh pl = prepareLulesh(v);
       auto fr = apps::lulesh::runPrimal(pl.mod, cfg, th);
       auto gr = apps::lulesh::runGradient(pl.mod, pl.gi, cfg, th);
-      applyPlanCounts(gr.stats, pl.gi.plan);
       if (th == 1) {
         fwd1 = fr.makespan;
         grad1 = gr.makespan;
@@ -55,7 +54,7 @@ int main() {
       json.num("threads", th);
       json.num("block", block);
       json.num("forward_ns", fr.makespan);
-      json.stats(gr.makespan, gr.stats);
+      json.stats(gr.makespan, gr.stats, pl.gi.plan);
     }
   }
   t.print();
@@ -79,7 +78,6 @@ int main() {
       PreparedLulesh pl = prepareLulesh(v);
       auto fr = apps::lulesh::runPrimal(pl.mod, cfg, th);
       auto gr = apps::lulesh::runGradient(pl.mod, pl.gi, cfg, th);
-      applyPlanCounts(gr.stats, pl.gi.plan);
       sc.addRow({"OpenMP+OmpOpt", std::to_string(th), std::to_string(block),
                  Table::num(fr.makespan, 0), Table::num(gr.makespan, 0),
                  Table::num(gr.makespan / fr.makespan, 2)});
@@ -88,7 +86,7 @@ int main() {
       json.num("threads", th);
       json.num("block", block);
       json.num("forward_ns", fr.makespan);
-      json.stats(gr.makespan, gr.stats);
+      json.stats(gr.makespan, gr.stats, pl.gi.plan);
     }
     sc.print();
   }

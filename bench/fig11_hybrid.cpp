@@ -33,7 +33,6 @@ int main() {
     PreparedLulesh pl = prepareLulesh(v);
     auto fr = apps::lulesh::runPrimal(pl.mod, cfg, c.threads);
     auto gr = apps::lulesh::runGradient(pl.mod, pl.gi, cfg, c.threads);
-    applyPlanCounts(gr.stats, pl.gi.plan);
     int workers = cfg.ranks() * c.threads;
     // Normalize speedups by total work (weak in ranks, strong in threads).
     double work = double(cfg.ranks());
@@ -53,7 +52,7 @@ int main() {
     json.num("threads", c.threads);
     json.num("workers", workers);
     json.num("forward_ns", fr.makespan);
-    json.stats(gr.makespan, gr.stats);
+    json.stats(gr.makespan, gr.stats, pl.gi.plan);
   }
   t.print();
   json.write();

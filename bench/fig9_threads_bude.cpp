@@ -55,7 +55,6 @@ int main() {
       }
       auto fr = apps::minibude::runPrimal(*m, c, th);
       auto gr = apps::minibude::runGradient(*m, gi2, c, th);
-      applyPlanCounts(gr.stats, gi2.plan);
       if (th == 1) grad1 = gr.makespan;
       t.addRow({s.name, std::to_string(th), Table::num(fr.makespan, 0),
                 Table::num(gr.makespan, 0),
@@ -66,7 +65,7 @@ int main() {
       json.str("impl", s.name);
       json.num("threads", th);
       json.num("forward_ns", fr.makespan);
-      json.stats(gr.makespan, gr.stats);
+      json.stats(gr.makespan, gr.stats, gi2.plan);
     }
   }
   t.print();

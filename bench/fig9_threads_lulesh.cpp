@@ -42,7 +42,6 @@ int main() {
     for (int th : kThreads) {
       auto fr = apps::lulesh::runPrimal(pl.mod, c, th);
       auto gr = apps::lulesh::runGradient(pl.mod, pl.gi, c, th);
-      applyPlanCounts(gr.stats, pl.gi.plan);
       if (th == 1) {
         fwd1 = fr.makespan;
         grad1 = gr.makespan;
@@ -57,7 +56,7 @@ int main() {
       json.str("impl", s.name);
       json.num("threads", th);
       json.num("forward_ns", fr.makespan);
-      json.stats(gr.makespan, gr.stats);
+      json.stats(gr.makespan, gr.stats, pl.gi.plan);
     }
   }
   t.print();

@@ -41,7 +41,6 @@ int main() {
     PreparedLulesh pl = prepareLulesh(v);
     double fwd = apps::lulesh::runPrimal(pl.mod, cfg, r.threads).makespan;
     auto gr = apps::lulesh::runGradient(pl.mod, pl.gi, cfg, r.threads);
-    applyPlanCounts(gr.stats, pl.gi.plan);
     t.addRow({r.name, r.jlite ? "jlite" : "C++",
               std::to_string(cfg.ranks()) + "x" + std::to_string(r.threads),
               Table::num(fwd, 0), Table::num(gr.makespan, 0),
@@ -52,7 +51,7 @@ int main() {
     json.num("ranks", cfg.ranks());
     json.num("threads", r.threads);
     json.num("forward_ns", fwd);
-    json.stats(gr.makespan, gr.stats);
+    json.stats(gr.makespan, gr.stats, pl.gi.plan);
   }
 
   using BCfg = apps::minibude::Config;
@@ -78,7 +77,6 @@ int main() {
     core::GradInfo gi = apps::minibude::buildGradient(mod);
     double fwd = apps::minibude::runPrimal(mod, cfg, r.threads).makespan;
     auto gr = apps::minibude::runGradient(mod, gi, cfg, r.threads);
-    applyPlanCounts(gr.stats, gi.plan);
     t.addRow({r.name, r.jlite ? "jlite" : "C++",
               "1x" + std::to_string(r.threads), Table::num(fwd, 0),
               Table::num(gr.makespan, 0), Table::num(gr.makespan / fwd, 2)});
@@ -88,7 +86,7 @@ int main() {
     json.num("ranks", 1);
     json.num("threads", r.threads);
     json.num("forward_ns", fwd);
-    json.stats(gr.makespan, gr.stats);
+    json.stats(gr.makespan, gr.stats, gi.plan);
   }
   t.print();
   std::printf("\npaper bands: C++ 0.8-3.4x, Julia 5.4-12.5x\n");

@@ -6,6 +6,9 @@
 #
 #   BUILD_DIR=out ./scripts/check.sh   # override the build directory
 #   SANITIZE=1 ./scripts/check.sh      # ASan+UBSan build (separate build dir)
+#   RELEASE=1 ./scripts/check.sh       # CMake Release build (-O3, NDEBUG;
+#                                      # separate build dir): the -Werror
+#                                      # library must stay warning-clean there
 #   TSAN=1 ./scripts/check.sh          # ThreadSanitizer build, concurrency
 #                                      # suites only (serve pipeline, sharded
 #                                      # cache hammer, backend registry)
@@ -38,6 +41,11 @@ if [[ "${SANITIZE:-0}" == "1" ]]; then
   CMAKE_ARGS+=(-DPARAD_SANITIZE=ON)
   export ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1}
   export UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1}
+fi
+
+if [[ "${RELEASE:-0}" == "1" ]]; then
+  BUILD_DIR=${BUILD_DIR}-release
+  CMAKE_ARGS+=(-DCMAKE_BUILD_TYPE=Release)
 fi
 
 if [[ "${TSAN:-0}" == "1" ]]; then

@@ -24,6 +24,8 @@
 #include "src/interp/codegen_abi.h"
 #include "src/interp/exec.h"
 #include "src/support/common.h"
+#include "src/support/env.h"
+#include "src/support/hash.h"
 
 namespace parad::interp {
 
@@ -298,7 +300,11 @@ class SourceEmitter {
     for (int i = 0; i < nInline; ++i) opsBuf[i] = src[i];
     const std::int32_t* o = in.poolBase >= 0 ? src : opsBuf;
     auto body = [&](std::int32_t blockId) {
-      return "r" + std::to_string(blockRangeId(prog, blockId));
+      // Appended, not `"r" + ...`: GCC 12 at -O3 reports a false
+      // -Wrestrict on that form, which -Werror turns into a build failure.
+      std::string r = "r";
+      r += std::to_string(blockRangeId(prog, blockId));
+      return r;
     };
     auto argSlot = [&](std::int32_t blockId) {
       return p.blocks[static_cast<std::size_t>(blockId)].arg;
@@ -497,26 +503,18 @@ class SourceEmitter {
 }  // namespace
 
 std::uint64_t closureFingerprint(const ExecModule& xm) {
-  std::uint64_t h = 14695981039346656037ull;
-  auto mixByte = [&](unsigned char b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  };
-  auto mix = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mixByte(static_cast<unsigned char>(v >> (8 * i)));
-  };
-  mix(PARAD_CG_ABI_VERSION);
-  mix(kGeneratorVersion);
-  mix(xm.programs.size());
+  hash::Fnv f;
+  f.mix(static_cast<std::uint64_t>(PARAD_CG_ABI_VERSION));
+  f.mix(kGeneratorVersion);
+  f.mix(static_cast<std::uint64_t>(xm.programs.size()));
   for (const ExecProgram& p : xm.programs) {
-    mix(p.fingerprint);
-    mix(p.name.size());
-    for (char ch : p.name) mixByte(static_cast<unsigned char>(ch));
-    mix(p.code.size());
-    mix(p.blocks.size());
-    mix(p.segments.size());
+    f.mix(p.fingerprint);
+    f.mix(p.name);
+    f.mix(static_cast<std::uint64_t>(p.code.size()));
+    f.mix(static_cast<std::uint64_t>(p.blocks.size()));
+    f.mix(static_cast<std::uint64_t>(p.segments.size()));
   }
-  return h;
+  return f.h;
 }
 
 std::string emitClosureSource(const ExecModule& xm) {
@@ -564,15 +562,11 @@ class CodegenArtifact {
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
-      std::uint64_t h = 14695981039346656037ull;
-      for (std::uint64_t v :
-           {std::uint64_t(k.prog), std::uint64_t(std::uint32_t(k.begin)),
-            std::uint64_t(std::uint32_t(k.end)),
-            std::uint64_t(std::uint32_t(k.trailing))}) {
-        h ^= v;
-        h *= 1099511628211ull;
-      }
-      return static_cast<std::size_t>(h);
+      auto pack = [](std::int32_t hi, std::int32_t lo) {
+        return std::uint64_t(std::uint32_t(hi)) << 32 | std::uint32_t(lo);
+      };
+      return static_cast<std::size_t>(hash::mix64(
+          pack(k.prog, k.begin) ^ hash::mix64(pack(k.end, k.trailing))));
     }
   };
   void* handle_;
@@ -788,17 +782,11 @@ struct CodegenCache::Impl {
 
   std::size_t memCap() const {
     if (cfg.memCapacityBytes != 0) return cfg.memCapacityBytes;
-    if (const char* e = std::getenv("PARAD_CODEGEN_MEM_BYTES");
-        e != nullptr && *e)
-      return static_cast<std::size_t>(std::strtoull(e, nullptr, 10));
-    return 0;
+    return env::count("codegen", "PARAD_CODEGEN_MEM_BYTES").value_or(0);
   }
   std::size_t diskCap() const {
     if (cfg.diskCapacityBytes != 0) return cfg.diskCapacityBytes;
-    if (const char* e = std::getenv("PARAD_CODEGEN_DISK_BYTES");
-        e != nullptr && *e)
-      return static_cast<std::size_t>(std::strtoull(e, nullptr, 10));
-    return 0;
+    return env::count("codegen", "PARAD_CODEGEN_DISK_BYTES").value_or(0);
   }
   // Inserts (or refreshes) an artifact and applies the memory byte cap; the
   // fresh entry always survives. Caller holds `mu`. Dropped artifacts keep
@@ -859,17 +847,16 @@ bool makeDirs(const std::string& path) { return io::makeDirs(path); }
 
 std::string resolveCacheDir(const CodegenConfig& cfg) {
   if (!cfg.cacheDir.empty()) return cfg.cacheDir;
-  if (const char* d = std::getenv("PARAD_CODEGEN_DIR"); d != nullptr && *d)
-    return d;
-  const char* tmp = std::getenv("TMPDIR");
-  std::string base = (tmp != nullptr && *tmp) ? tmp : "/tmp";
+  if (std::string d = env::text("PARAD_CODEGEN_DIR"); !d.empty()) return d;
+  std::string base = env::text("TMPDIR");
+  if (base.empty()) base = "/tmp";
   return base + "/parad-codegen-v" + std::to_string(PARAD_CG_ABI_VERSION) +
          "-u" + std::to_string(static_cast<unsigned long>(::getuid()));
 }
 
 std::string resolveCompiler(const CodegenConfig& cfg) {
   if (!cfg.compiler.empty()) return cfg.compiler;
-  if (const char* s = std::getenv("PARAD_CXX"); s != nullptr && *s) return s;
+  if (std::string s = env::text("PARAD_CXX"); !s.empty()) return s;
 #ifdef PARAD_HOST_CXX
   return PARAD_HOST_CXX;
 #else
@@ -1024,9 +1011,8 @@ std::shared_ptr<const CodegenArtifact> CodegenCache::lookup(
   std::string logPath = base + ".log";
   std::string flags = " -std=c++17 -O2 -fPIC -shared -ffp-contract=off";
   if (!im.cfg.extraFlags.empty()) flags += " " + im.cfg.extraFlags;
-  if (const char* ef = std::getenv("PARAD_CODEGEN_FLAGS");
-      ef != nullptr && *ef)
-    flags += std::string(" ") + ef;
+  if (std::string ef = env::text("PARAD_CODEGEN_FLAGS"); !ef.empty())
+    flags += " " + ef;
   std::string cmd = shellQuote(cxx) + flags + " -o " + shellQuote(tmpPath) +
                     " " + shellQuote(srcPath) + " -lm 2> " +
                     shellQuote(logPath);

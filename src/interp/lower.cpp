@@ -1,9 +1,12 @@
 #include "src/interp/lower.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <atomic>
 #include <deque>
+#include <optional>
+
+#include "src/support/env.h"
+#include "src/support/hash.h"
 
 namespace parad::interp {
 
@@ -14,28 +17,7 @@ using ir::Op;
 
 namespace {
 
-struct Fnv {
-  std::uint64_t h = 14695981039346656037ull;
-
-  void byte(unsigned char b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (i * 8)));
-  }
-  void mix(i64 v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix(int v) { mix(static_cast<std::uint64_t>(static_cast<i64>(v))); }
-  void mix(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    mix(bits);
-  }
-  void mix(const std::string& s) {
-    mix(static_cast<std::uint64_t>(s.size()));
-    for (char c : s) byte(static_cast<unsigned char>(c));
-  }
-};
+using hash::Fnv;
 
 void hashRegion(const ir::Region& r, Fnv& f);
 
@@ -384,14 +366,14 @@ std::size_t execModuleBytes(const ExecModule& xm) {
 
 ProgramCache& ProgramCache::global() {
   static ProgramCache cache;
-  if (const char* env = std::getenv("PARAD_PROGRAM_CACHE_BYTES")) {
-    static std::once_flag once;
-    std::call_once(once, [&] {
-      char* end = nullptr;
-      unsigned long long v = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0')
-        cache.setCapacityBytes(static_cast<std::size_t>(v));
-    });
+  // Applied the first time it is seen set; until then every call reads it.
+  static std::atomic<bool> capped{false};
+  if (!capped.load(std::memory_order_relaxed)) {
+    if (std::optional<std::uint64_t> cap =
+            env::count("program cache", "PARAD_PROGRAM_CACHE_BYTES")) {
+      cache.setCapacityBytes(static_cast<std::size_t>(*cap));
+      capped.store(true, std::memory_order_relaxed);
+    }
   }
   return cache;
 }

@@ -70,15 +70,6 @@ std::size_t IoFaultPlan::corruptBit(std::uint64_t key, std::uint64_t op,
                                   static_cast<double>(len * 8));
 }
 
-std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
-  const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t k = 0; k < len; ++k) {
-    h ^= p[k];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 bool makeDirs(const std::string& path, std::string* err) {
   std::string cur;
   for (std::size_t i = 0; i < path.size(); ++i) {
@@ -258,11 +249,12 @@ bool DurableStore::put(const std::string& name,
   putU64(rec, cfg_.kind);
   putU64(rec, cfg_.fingerprint);
   putU64(rec, payload.size());
-  putU64(rec, fnv1a(payload.data(), payload.size()));
+  putU64(rec, hash::fnv1a(payload.data(), payload.size()));
   rec.insert(rec.end(), payload.begin(), payload.end());
   // Fault coordinates: the record's name identity plus this store's op
   // ordinal, both deterministic for a deterministic caller.
-  std::uint64_t key = fnv1a(name.data(), name.size()) ^ (ops_++ << 1);
+  std::uint64_t key =
+      hash::fnv1a(name.data(), name.size()) ^ (ops_++ << 1);
   if (faults_.enabled() && faults_.writeFails(key, 0)) {
     ++putFailures_;
     if (err) *err = "injected write failure (ENOSPC model)";
@@ -306,7 +298,7 @@ bool DurableStore::get(const std::string& name,
     // Media rot: a seeded bit of this record's on-disk image reads flipped,
     // every time — keyed by the name alone so the damage is stable, like a
     // bad sector. The checksum below must catch it.
-    std::uint64_t key = fnv1a(name.data(), name.size());
+    std::uint64_t key = hash::fnv1a(name.data(), name.size());
     std::size_t bit = faults_.corruptBit(key, 0, rec.size());
     if (bit != SIZE_MAX) rec[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
   }
@@ -339,7 +331,7 @@ bool DurableStore::get(const std::string& name,
     return false;
   }
   std::uint64_t sum = getU64(rec.data() + 40);
-  if (fnv1a(rec.data() + kHeaderBytes, plen) != sum) {
+  if (hash::fnv1a(rec.data() + kHeaderBytes, plen) != sum) {
     if (err) *err = "checksum mismatch (payload corrupted)";
     return false;
   }
@@ -409,10 +401,9 @@ void DurableStore::writeManifest() {
   putU64(rec, cfg_.kind);
   putU64(rec, cfg_.fingerprint);
   putU64(rec, body.size());
-  putU64(rec, fnv1a(body.data(), body.size()));
+  putU64(rec, hash::fnv1a(body.data(), body.size()));
   rec.insert(rec.end(), body.begin(), body.end());
-  std::uint64_t key =
-      fnv1a("manifest", 8) ^ (ops_++ << 1);
+  std::uint64_t key = hash::fnv1a("manifest", 8) ^ (ops_++ << 1);
   if (faults_.enabled() && faults_.writeFails(key, 0)) return;
   std::size_t diskLen = faults_.enabled()
                             ? faults_.tornLength(key, 0, rec.size())

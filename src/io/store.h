@@ -30,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "src/support/hash.h"
+
 namespace parad::io {
 
 /// Knobs of the seeded disk-fault injector. Rates are probabilities in
@@ -65,27 +67,14 @@ class IoFaultPlan {
                          std::size_t len) const;
 
  private:
-  // SplitMix64-style finalizer, same constants as psim::FaultPlan — the IO
-  // salts live in their own family so the two schedules never correlate.
-  static std::uint64_t mix(std::uint64_t z) {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
+  // The IO salts live in their own family so the IO and fabric schedules
+  // never correlate.
   double unit(std::uint64_t salt, std::uint64_t a, std::uint64_t b) const {
-    std::uint64_t h = cfg_.seed + 0x9e3779b97f4a7c15ull * (salt + 1);
-    h = mix(h ^ mix(a + 0x9e3779b97f4a7c15ull));
-    h = mix(h ^ mix(b + 0x2545f4914f6cdd1dull));
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
+    return hash::unit(cfg_.seed, salt, {a, b});
   }
 
   IoFaultConfig cfg_;
 };
-
-/// FNV-1a over a byte range (the checksum and fingerprint primitive used
-/// across the store, the checkpoint format, and the codegen cache).
-std::uint64_t fnv1a(const void* data, std::size_t len,
-                    std::uint64_t h = 0xcbf29ce484222325ull);
 
 /// mkdir -p. Returns false (with errno-derived `err`) on failure.
 bool makeDirs(const std::string& path, std::string* err = nullptr);

@@ -8,6 +8,9 @@
 #include <type_traits>
 #include <utility>
 
+#include "src/support/env.h"
+#include "src/support/hash.h"
+
 namespace parad::psim {
 
 namespace {
@@ -193,22 +196,22 @@ double CheckpointManager::openDurable(int nranks) {
   // (a same-shaped but different job must cold-start, not resume into a
   // foreign snapshot). Fault seeds are deliberately excluded: a serve warm
   // retry re-runs the same job under an offset seed and must still match.
-  std::uint64_t fp = io::fnv1a(&nranks, sizeof nranks);
+  std::uint64_t fp = hash::fnv1a(&nranks, sizeof nranks);
   std::uint64_t nobj = base_.objects.size();
-  fp = io::fnv1a(&nobj, sizeof nobj, fp);
+  fp = hash::fnv1a(&nobj, sizeof nobj, fp);
   for (const ObjImage& o : base_.objects) {
     std::uint64_t hdr[3] = {static_cast<std::uint64_t>(o.elem),
                             static_cast<std::uint64_t>(o.count),
                             (o.freed ? 1u : 0u) | (o.isCache ? 2u : 0u) |
                                 (o.isShadow ? 4u : 0u)};
-    fp = io::fnv1a(hdr, sizeof hdr, fp);
-    fp = io::fnv1a(o.f.data(), o.f.size() * sizeof(double), fp);
-    fp = io::fnv1a(o.i.data(), o.i.size() * sizeof(i64), fp);
+    fp = hash::fnv1a(hdr, sizeof hdr, fp);
+    fp = hash::fnv1a(o.f.data(), o.f.size() * sizeof(double), fp);
+    fp = hash::fnv1a(o.i.data(), o.i.size() * sizeof(i64), fp);
     for (const RtPtr& ptr : o.p) {
       // Field-by-field: RtPtr has interior padding whose bytes are
       // indeterminate, and the fingerprint must be a pure function of state.
       std::int64_t pv[2] = {ptr.obj, ptr.off};
-      fp = io::fnv1a(pv, sizeof pv, fp);
+      fp = hash::fnv1a(pv, sizeof pv, fp);
     }
   }
   programFp_ = fp;
@@ -218,9 +221,8 @@ double CheckpointManager::openDurable(int nranks) {
   sc.prefix = "parad_ckpt_";
   sc.kind = kMagic;
   sc.fingerprint = programFp_;
-  if (const char* e = std::getenv("PARAD_CKPT_DISK_BYTES");
-      e != nullptr && *e)
-    sc.capacityBytes = std::strtoull(e, nullptr, 10);
+  sc.capacityBytes =
+      env::count("checkpoint", "PARAD_CKPT_DISK_BYTES").value_or(0);
   sc.faults.enabled = cfg_.enabled && (cfg_.ioFailRate > 0 ||
                                        cfg_.tornRate > 0 ||
                                        cfg_.ioCorruptRate > 0);
@@ -325,7 +327,6 @@ void CheckpointManager::applyStats(const RunStats& snap) {
   stats_.durableWrites = keep.durableWrites;
   stats_.durableWriteFails = keep.durableWriteFails;
   stats_.durableResumes = keep.durableResumes;
-  stats_.serveWarmResumes = keep.serveWarmResumes;
 }
 
 void CheckpointManager::apply(const Checkpoint& cp) {
@@ -443,12 +444,17 @@ Checkpoint CheckpointManager::deserialize(
   cp.payloadBytes = r.u64();
   cp.cacheBytes = r.u64();
   cp.shadowBytes = r.u64();
-  PARAD_CHECK(r.u64() == sizeof(RunStats),
+  // Records written while RunStats also carried plan, cache and serve
+  // counters hold a longer stats block. The machine never wrote those
+  // trailing fields, so a block whose extra bytes are all zero still reads.
+  std::size_t statsLen = r.len(1);
+  const std::uint8_t* block = bytes.data() + r.pos;
+  PARAD_CHECK(statsLen >= sizeof(RunStats) &&
+                  std::all_of(block + sizeof(RunStats), block + statsLen,
+                              [](std::uint8_t b) { return b == 0; }),
               "checkpoint deserialize: RunStats layout changed");
-  PARAD_CHECK(r.pos + sizeof(RunStats) <= bytes.size(),
-              "checkpoint deserialize: truncated stats");
-  std::memcpy(&cp.stats, bytes.data() + r.pos, sizeof(RunStats));
-  r.pos += sizeof(RunStats);
+  std::memcpy(&cp.stats, block, sizeof(RunStats));
+  r.pos += statsLen;
   // Every count below is bounds-checked against the remaining bytes (each
   // object needs at least its 8 fixed fields; f/i/p/atomic elements occupy
   // 8/8/16/32 serialized bytes) so adversarial counts raise parad::Error

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "src/support/common.h"
+#include "src/support/hash.h"
 
 namespace parad::psim {
 
@@ -100,21 +101,9 @@ class FaultPlan {
   double killTime(int rank, int index) const;
 
  private:
-  // SplitMix64-style finalizer over a fold of the decision coordinates
-  // (same mixing constants as support/rng.h), mapped to [0, 1).
-  static std::uint64_t mix(std::uint64_t z) {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
   double unit(std::uint64_t salt, std::uint64_t a, std::uint64_t b,
               std::uint64_t c, std::uint64_t d) const {
-    std::uint64_t h = cfg_.seed + 0x9e3779b97f4a7c15ull * (salt + 1);
-    h = mix(h ^ mix(a + 0x9e3779b97f4a7c15ull));
-    h = mix(h ^ mix(b + 0x2545f4914f6cdd1dull));
-    h = mix(h ^ mix(c + 0x9e3779b97f4a7c15ull));
-    h = mix(h ^ mix(d + 0x2545f4914f6cdd1dull));
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
+    return hash::unit(cfg_.seed, salt, {a, b, c, d});
   }
 
   FaultConfig cfg_;

@@ -1,9 +1,10 @@
 #include "src/psim/sim.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
+
+#include "src/support/env.h"
 
 namespace parad::psim {
 
@@ -18,7 +19,8 @@ double Machine::run(const Launch& launch,
   // otherwise the PARAD_FAULTS environment spec (if any) applies.
   FaultConfig fc = cfg_.faults;
   if (!fc.enabled) {
-    if (const char* env = std::getenv("PARAD_FAULTS")) fc = parseFaultSpec(env);
+    if (std::string spec = env::text("PARAD_FAULTS"); !spec.empty())
+      fc = parseFaultSpec(spec);
   }
   faultPlan_ = FaultPlan(fc);
   watchdogSlackNs_ = 0;

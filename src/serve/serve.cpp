@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <string_view>
@@ -23,29 +23,11 @@
 #include "src/psim/faults.h"
 #include "src/psim/sim.h"
 #include "src/serve/queue.h"
+#include "src/support/env.h"
 
 namespace parad::serve {
 
 namespace {
-
-double envDouble(const char* name, double dflt) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return dflt;
-  char* end = nullptr;
-  double v = std::strtod(s, &end);
-  if (end == s || *end != '\0')
-    fail("serve: malformed ", name, "='", s, "' (expected a number)");
-  if (v < 0)
-    fail("serve: ", name, " must be non-negative, got '", s, "'");
-  return v;
-}
-
-int envInt(const char* name, int dflt) {
-  double v = envDouble(name, dflt);
-  PARAD_CHECK(v >= 0 && v == static_cast<double>(static_cast<int>(v)),
-              "serve: ", name, " must be a non-negative integer");
-  return static_cast<int>(v);
-}
 
 // Every knob fromEnv() accepts, sorted (PARAD_SERVE_SMOKE belongs to the
 // bench harness but shares the prefix, so it is accepted here too).
@@ -68,25 +50,9 @@ const char* const kServeKnobs[] = {
     "PARAD_SERVE_THREADS",
 };
 
-std::size_t editDistance(std::string_view a, std::string_view b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      std::size_t next = std::min(
-          {row[j] + 1, row[j - 1] + 1, diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = row[j];
-      row[j] = next;
-    }
-  }
-  return row[b.size()];
-}
-
 /// Scans the environment for PARAD_SERVE_-prefixed names that no knob owns,
 /// so a typo (PARAD_SERVE_DEDLINE_MS) fails loudly instead of silently
-/// running with defaults. Values are validated per knob by envDouble/envInt.
+/// running with defaults. Values are validated per knob by env::real/count.
 void validateServeEnv() {
   for (char** e = ::environ; e != nullptr && *e != nullptr; ++e) {
     std::string_view ev(*e);
@@ -95,17 +61,9 @@ void validateServeEnv() {
     bool known = false;
     for (const char* k : kServeKnobs) known = known || name == k;
     if (known) continue;
-    std::string nearest;
-    std::size_t bestDist = 0;
-    for (const char* k : kServeKnobs) {
-      std::size_t d = editDistance(name, k);
-      if (nearest.empty() || d < bestDist) {
-        nearest = k;
-        bestDist = d;
-      }
-    }
+    std::string nearest = env::nearestName(name, kServeKnobs);
     std::string hint =
-        bestDist <= 2 ? " (did you mean '" + nearest + "'?)" : "";
+        nearest.empty() ? "" : " (did you mean '" + nearest + "'?)";
     std::string all;
     for (const char* k : kServeKnobs) all += std::string(all.empty() ? "" : ", ") + k;
     fail("serve: unknown environment knob '", name, "'", hint,
@@ -124,44 +82,35 @@ std::uint64_t nowNs() {
 
 ServeConfig ServeConfig::fromEnv() {
   validateServeEnv();
+  auto real = [](const char* name, double dflt) {
+    return env::real("serve", name).value_or(dflt);
+  };
+  auto count = [](const char* name, int dflt) {
+    return static_cast<int>(env::count("serve", name, INT_MAX)
+                                .value_or(static_cast<std::uint64_t>(dflt)));
+  };
   ServeConfig cfg;
-  cfg.workers = std::max(1, envInt("PARAD_SERVE_THREADS", cfg.workers));
-  cfg.maxBatch = std::max(1, envInt("PARAD_SERVE_BATCH", cfg.maxBatch));
-  cfg.maxDelayUs = envDouble("PARAD_SERVE_MAX_DELAY_US", cfg.maxDelayUs);
+  cfg.workers = std::max(1, count("PARAD_SERVE_THREADS", cfg.workers));
+  cfg.maxBatch = std::max(1, count("PARAD_SERVE_BATCH", cfg.maxBatch));
+  cfg.maxDelayUs = real("PARAD_SERVE_MAX_DELAY_US", cfg.maxDelayUs);
   cfg.queueCapacity = static_cast<std::size_t>(std::max(
-      1, envInt("PARAD_SERVE_QUEUE", static_cast<int>(cfg.queueCapacity))));
-  if (const char* e = std::getenv("PARAD_SERVE_ENGINE"); e != nullptr && *e)
+      1, count("PARAD_SERVE_QUEUE", static_cast<int>(cfg.queueCapacity))));
+  if (std::string e = env::text("PARAD_SERVE_ENGINE"); !e.empty())
     cfg.engine = e;
-  cfg.deadlineMs = envDouble("PARAD_SERVE_DEADLINE_MS", cfg.deadlineMs);
-  cfg.retryMax = envInt("PARAD_SERVE_RETRY", cfg.retryMax);
-  cfg.retryBackoffUs =
-      envDouble("PARAD_SERVE_RETRY_BACKOFF_US", cfg.retryBackoffUs);
-  cfg.ratePerSec = envDouble("PARAD_SERVE_RATE", cfg.ratePerSec);
-  cfg.rateBurst = envDouble("PARAD_SERVE_BURST", cfg.rateBurst);
-  cfg.maxInflight = envInt("PARAD_SERVE_INFLIGHT", cfg.maxInflight);
-  cfg.breakerThreshold = envInt("PARAD_SERVE_BREAKER", cfg.breakerThreshold);
+  cfg.deadlineMs = real("PARAD_SERVE_DEADLINE_MS", cfg.deadlineMs);
+  cfg.retryMax = count("PARAD_SERVE_RETRY", cfg.retryMax);
+  cfg.retryBackoffUs = real("PARAD_SERVE_RETRY_BACKOFF_US", cfg.retryBackoffUs);
+  cfg.ratePerSec = real("PARAD_SERVE_RATE", cfg.ratePerSec);
+  cfg.rateBurst = real("PARAD_SERVE_BURST", cfg.rateBurst);
+  cfg.maxInflight = count("PARAD_SERVE_INFLIGHT", cfg.maxInflight);
+  cfg.breakerThreshold = count("PARAD_SERVE_BREAKER", cfg.breakerThreshold);
   cfg.breakerCooldownMs =
-      envDouble("PARAD_SERVE_BREAKER_COOLDOWN_MS", cfg.breakerCooldownMs);
-  cfg.registryCapacityBytes = static_cast<std::size_t>(
-      envDouble("PARAD_SERVE_CACHE_BYTES",
-                static_cast<double>(cfg.registryCapacityBytes)));
-  if (const char* e = std::getenv("PARAD_SERVE_CKPT_DIR"); e != nullptr && *e)
+      real("PARAD_SERVE_BREAKER_COOLDOWN_MS", cfg.breakerCooldownMs);
+  cfg.registryCapacityBytes = env::count("serve", "PARAD_SERVE_CACHE_BYTES")
+                                  .value_or(cfg.registryCapacityBytes);
+  if (std::string e = env::text("PARAD_SERVE_CKPT_DIR"); !e.empty())
     cfg.ckptDir = e;
   return cfg;
-}
-
-void fillCacheCounters(psim::RunStats& stats) {
-  const auto& pc = interp::ProgramCache::global();
-  stats.programCacheHits = pc.hits();
-  stats.programCacheMisses = pc.misses();
-  stats.programCacheInvalidations = pc.invalidations();
-  stats.programCacheEvictions = pc.evictions();
-  interp::CodegenCounters cg = interp::CodegenCache::global().counters();
-  stats.codegenCompiles = cg.compiles;
-  stats.codegenDiskHits = cg.diskHits;
-  stats.codegenMemHits = cg.memHits;
-  stats.codegenFallbacks = cg.fallbacks;
-  stats.codegenEvictions = cg.memEvictions + cg.diskEvictions;
 }
 
 // ---------------------------------------------------------------------------
@@ -217,7 +166,7 @@ struct GradientService::Impl {
   explicit Impl(GradientService& svc)
       : svc_(svc),
         requests_(svc.cfg_.queueCapacity),
-        batches_(std::max<std::size_t>(svc.cfg_.queueCapacity, 16)) {}
+        batches_(svc.cfg_.queueCapacity) {}
 
   GradientService& svc_;
   BoundedQueue<Job> requests_;
@@ -502,17 +451,12 @@ struct GradientService::Impl {
     r.doneAtNs = nowNs();
     r.requestId = job.req.id;
     r.tenant = tenantOf(job.req);
-    r.stats.serveRetries = static_cast<std::uint64_t>(r.retries);
     if (r.retries > 0)
       retries_.fetch_add(static_cast<std::uint64_t>(r.retries),
                          std::memory_order_relaxed);
     if (r.failure != nullptr &&
-        r.failure->kind == psim::FailureReport::Kind::Deadline) {
-      r.stats.serveDeadlineHits = 1;
+        r.failure->kind == psim::FailureReport::Kind::Deadline)
       deadlineExpired_.fetch_add(1, std::memory_order_relaxed);
-    }
-    r.stats.serveProgramEvictions =
-        programEvictions_.load(std::memory_order_relaxed);
     if (!r.ok) failed_.fetch_add(1, std::memory_order_relaxed);
     std::string tenant = r.tenant;
     // Count and free the tenant's inflight slot before resolving the future
@@ -573,7 +517,6 @@ struct GradientService::Impl {
           req);
       r.isolated = true;
       r.engine = engine;
-      fillCacheCounters(r.stats);
       return r;
     }
     std::shared_ptr<std::atomic<bool>> cancel;
@@ -626,7 +569,6 @@ struct GradientService::Impl {
       r.gradient.clear();
       r.error = e.what();
     }
-    fillCacheCounters(r.stats);
     isolatedRuns_.fetch_add(1, std::memory_order_relaxed);
     return r;
   }
@@ -657,7 +599,7 @@ struct GradientService::Impl {
       r.retries = attempt;
       warm += r.stats.durableResumes;
       if (r.ok || !isTransient(r) || attempt >= budget) {
-        r.stats.serveWarmResumes = warm;
+        r.warmResumes = warm;
         if (warm > 0)
           warmResumes_.fetch_add(warm, std::memory_order_relaxed);
         return r;
@@ -668,7 +610,7 @@ struct GradientService::Impl {
         std::uint64_t wake =
             nowNs() + static_cast<std::uint64_t>(backoffUs * 1000.0);
         if (deadlineNs != 0 && wake >= deadlineNs) {  // budget < time
-          r.stats.serveWarmResumes = warm;
+          r.warmResumes = warm;
           if (warm > 0)
             warmResumes_.fetch_add(warm, std::memory_order_relaxed);
           return r;
@@ -775,7 +717,6 @@ struct GradientService::Impl {
                 m.mem().atF(dxs, b * p.n + k);
           r.virtualNs = makespan;
           r.stats = m.stats();
-          fillCacheCounters(r.stats);
         }
         batchedOk = true;
       } catch (const Error&) {

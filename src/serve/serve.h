@@ -104,7 +104,7 @@ struct ServeConfig {
   // checkpointing fault-injected job publishes its epochs under a per-job
   // subdirectory, and each retry Machine re-seats from the newest valid
   // epoch — bounded lost work instead of replay-from-zero, counted in
-  // RunStats::serveWarmResumes. Gradients stay bit-identical either way.
+  // Response::warmResumes. Gradients stay bit-identical either way.
   std::string ckptDir;             // "" = cold retries (replay from zero)
 
   /// Reads the PARAD_SERVE_* knobs over the built-in defaults.
@@ -144,9 +144,8 @@ struct Response {
   std::uint64_t requestId = 0;  // the job's (possibly auto-assigned) id
   std::string tenant;      // the admission-control key the job ran under
   int retries = 0;         // execution attempts consumed beyond the first
-  /// Per-batch run statistics (shared by all requests of the batch), with
-  /// the process-wide cache counters snapshotted in (RunStats program
-  /// cache / codegen fields).
+  std::uint64_t warmResumes = 0;  // attempts re-seated from a durable epoch
+  /// Run statistics of the executing VM (shared by all requests of a batch).
   psim::RunStats stats;
   std::uint64_t doneAtNs = 0;  // host steady-clock stamp at completion
 };
@@ -189,10 +188,6 @@ struct ServiceStats {
   std::uint64_t codegenFallbacks = 0;
   std::uint64_t codegenEvictions = 0;  // artifact mem + disk LRU evictions
 };
-
-/// Snapshots the process-wide compile-cache counters into a RunStats record
-/// (the serve/bench surface of the cache telemetry).
-void fillCacheCounters(psim::RunStats& stats);
 
 /// The multi-tenant gradient server. Thread-safe: any number of client
 /// threads may register programs and submit requests concurrently.

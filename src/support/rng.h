@@ -5,19 +5,16 @@
 
 #include <cstdint>
 
+#include "src/support/hash.h"
+
 namespace parad {
 
 /// SplitMix64: tiny, fast, high-quality 64-bit PRNG with a one-word state.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) : state_(seed) {}
+  explicit Rng(std::uint64_t seed = hash::kGolden) : state_(seed) {}
 
-  std::uint64_t nextU64() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t nextU64() { return hash::mix64(state_ += hash::kGolden); }
 
   /// Uniform double in [0, 1).
   double nextDouble() {

@@ -518,6 +518,24 @@ TEST(Codegen, DiskCapSweepsOldestArtifacts) {
   EXPECT_EQ(cache.counters().compiles, c1.compiles + 1);
 }
 
+TEST(Codegen, ByteCapKnobsRejectUnitSuffixes) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  for (const char* knob :
+       {"PARAD_CODEGEN_MEM_BYTES", "PARAD_CODEGEN_DISK_BYTES"}) {
+    CodegenSandbox sandbox;
+    test::EnvVar cap(knob, "64MB");
+    ir::Module mod = arithModule(41.5);
+    std::string msg;
+    try {
+      runWith(mod, "codegen");
+    } catch (const Error& e) {
+      msg = e.what();
+    }
+    EXPECT_NE(msg.find(std::string(knob) + "='64MB'"), std::string::npos)
+        << knob << ": " << msg;
+  }
+}
+
 TEST(Codegen, FallsBackToExecWithoutCompiler) {
   interp::CodegenConfig cfg;
   cfg.compiler = "/nonexistent/parad-no-such-compiler";

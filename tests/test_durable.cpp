@@ -42,24 +42,6 @@ struct EngineGuard {
 
 constexpr const char* kEngines[] = {"exec", "tree", "codegen"};
 
-/// Sets an environment variable for one scope and restores on exit.
-struct EnvVar {
-  std::string name, saved;
-  bool had;
-  EnvVar(const std::string& n, const std::string& value) : name(n) {
-    const char* old = std::getenv(n.c_str());
-    had = old != nullptr;
-    if (had) saved = old;
-    ::setenv(n.c_str(), value.c_str(), 1);
-  }
-  ~EnvVar() {
-    if (had)
-      ::setenv(name.c_str(), saved.c_str(), 1);
-    else
-      ::unsetenv(name.c_str());
-  }
-};
-
 /// Removes a directory tree on scope exit (test artifact hygiene).
 struct TempDir {
   std::string path;
@@ -481,6 +463,21 @@ TEST(Durable, EpochRetentionUnderDiskByteCap) {
   }
 }
 
+TEST(Durable, DiskByteCapKnobRejectsUnitSuffixes) {
+  TempDir dir("parad_durable_knob");
+  psim::MachineConfig dur = cleanConfig(3);
+  dur.ckptDir = dir.path;
+  EnvVar cap("PARAD_CKPT_DISK_BYTES", "64MB");
+  std::string msg;
+  try {
+    runRing(dur, 4, 8);
+  } catch (const Error& e) {
+    msg = e.what();
+  }
+  EXPECT_NE(msg.find("PARAD_CKPT_DISK_BYTES='64MB'"), std::string::npos)
+      << msg;
+}
+
 TEST(Durable, StaleFingerprintColdStarts) {
   // Epochs belong to a program: pointing a *different* job at the same
   // directory must not decode them — the fingerprint check skips every
@@ -629,7 +626,7 @@ TEST(Durable, ServeWarmRetryResume) {
   // A transient rank-kill retry re-seats from the job's last durable epoch:
   // the retry attempt's Machine opens the per-job directory the failed
   // attempt published into. Observable end to end — per-response
-  // serveWarmResumes, the service-wide warmResumes counter — and the
+  // Response::warmResumes, the service-wide warmResumes counter — and the
   // retried gradient is still bit-identical to the clean single-shot run.
   constexpr std::size_t kN = 5;
   TempDir dir("parad_durable_serve");
@@ -662,7 +659,7 @@ TEST(Durable, ServeWarmRetryResume) {
                        killNs + ",ckpt_interval=1,retry=0";
     faulty.retryMax = 3;
     r = svc.call(faulty);
-    succeeded = r.ok && r.retries > 0 && r.stats.serveWarmResumes > 0;
+    succeeded = r.ok && r.retries > 0 && r.warmResumes > 0;
   }
   ASSERT_TRUE(succeeded) << r.error;
   EXPECT_GT(r.stats.durableResumes, 0u);

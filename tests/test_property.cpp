@@ -313,6 +313,11 @@ struct LuleshVariant {
   bool jlite;
 };
 
+// Print a variant by its name. Without this, gtest prints the raw bytes of
+// the struct (a string pointer and padding), which differ from run to run and
+// would leak into the test names that CTest discovers.
+void PrintTo(const LuleshVariant& v, std::ostream* os) { *os << v.name; }
+
 class LuleshEngineSweepP : public ::testing::TestWithParam<LuleshVariant> {};
 
 TEST_P(LuleshEngineSweepP, EnginesAndSchedulesAgree) {
@@ -365,16 +370,15 @@ INSTANTIATE_TEST_SUITE_P(
         LuleshVariant{"hybrid", apps::lulesh::Config::Par::Omp, true, false},
         LuleshVariant{"raja", apps::lulesh::Config::Par::Raja, false, false},
         LuleshVariant{"jlite", apps::lulesh::Config::Par::JliteTasks, false,
-                      true}),
-    [](const ::testing::TestParamInfo<LuleshVariant>& info) {
-      return std::string(info.param.name);
-    });
+                      true}));
 
 struct BudeVariant {
   const char* name;
   apps::minibude::Config::Par par;
   bool jlite;
 };
+
+void PrintTo(const BudeVariant& v, std::ostream* os) { *os << v.name; }
 
 class BudeEngineSweepP : public ::testing::TestWithParam<BudeVariant> {};
 
@@ -421,7 +425,4 @@ INSTANTIATE_TEST_SUITE_P(
     Variants, BudeEngineSweepP,
     ::testing::Values(
         BudeVariant{"omp", apps::minibude::Config::Par::Omp, false},
-        BudeVariant{"jlite", apps::minibude::Config::Par::JliteTasks, true}),
-    [](const ::testing::TestParamInfo<BudeVariant>& info) {
-      return std::string(info.param.name);
-    });
+        BudeVariant{"jlite", apps::minibude::Config::Par::JliteTasks, true}));

@@ -262,6 +262,7 @@ TEST(Serve, ColdThenHotSurfacesCacheCounters) {
   serve::Response r1 = svc.call(req);
   ASSERT_TRUE(r1.ok) << r1.error;
   EXPECT_TRUE(r1.coldCompile);
+  serve::ServiceStats st1 = svc.stats();
   serve::Response r2 = svc.call(req);
   ASSERT_TRUE(r2.ok) << r2.error;
   EXPECT_FALSE(r2.coldCompile);
@@ -270,9 +271,8 @@ TEST(Serve, ColdThenHotSurfacesCacheCounters) {
   serve::ServiceStats st = svc.stats();
   EXPECT_EQ(st.coldCompiles, 1u);
   // The hot request re-looked-up the lowered closure: the sharded cache's
-  // counters (snapshotted into every response's RunStats) must have moved.
-  EXPECT_GT(r2.stats.programCacheHits, 0u);
-  EXPECT_GE(r2.stats.programCacheHits, r1.stats.programCacheHits);
+  // counters (snapshotted by stats()) must have moved.
+  EXPECT_GT(st.programCacheHits, st1.programCacheHits);
   EXPECT_GT(st.programCacheMisses, 0u);
 }
 
@@ -502,26 +502,7 @@ TEST(CacheConcurrency, HammerSharedAndDistinctFingerprints) {
 // Robustness (DESIGN.md §15): strict knob parsing, deadlines, retries,
 // admission control / load shedding, circuit breaker, bounded registries.
 
-/// Sets one environment variable for the enclosing scope and restores the
-/// previous state on exit (gtest runs tests sequentially, so this cannot race
-/// another test's getenv).
-struct EnvVar {
-  std::string name;
-  std::string saved;
-  bool hadValue;
-  EnvVar(const std::string& n, const std::string& value) : name(n) {
-    const char* old = std::getenv(n.c_str());
-    hadValue = old != nullptr;
-    if (hadValue) saved = old;
-    ::setenv(n.c_str(), value.c_str(), 1);
-  }
-  ~EnvVar() {
-    if (hadValue)
-      ::setenv(name.c_str(), saved.c_str(), 1);
-    else
-      ::unsetenv(name.c_str());
-  }
-};
+using test::EnvVar;
 
 std::string fromEnvError() {
   try {
@@ -635,7 +616,6 @@ TEST(ServeRobust, QueuedDeadlineExpiryIsStructuredAndSparesBatchMates) {
       << rd.error;
   EXPECT_EQ(rd.requestId, 4242u);
   EXPECT_EQ(rd.tenant, "acme");
-  EXPECT_EQ(rd.stats.serveDeadlineHits, 1u);
 
   serve::Response rf = ff.get();
   ASSERT_TRUE(rf.ok) << rf.error;
@@ -671,7 +651,6 @@ TEST(ServeRobust, RequestOptsOutOfServiceDefaultDeadline) {
   immortal.deadlineMs = -1;
   serve::Response ri = svc.call(immortal);
   ASSERT_TRUE(ri.ok) << ri.error;
-  EXPECT_EQ(ri.stats.serveDeadlineHits, 0u);
   EXPECT_GE(svc.stats().deadlineExpired, 1u);
 }
 
@@ -703,7 +682,6 @@ TEST(ServeRobust, MidRunDeadlineCancelsJobWhileBatchMateSurvives) {
   ASSERT_NE(rd.failure, nullptr);
   EXPECT_EQ(rd.failure->kind, psim::FailureReport::Kind::Deadline)
       << rd.error;
-  EXPECT_EQ(rd.stats.serveDeadlineHits, 1u);
 
   serve::Response rf = ff.get();
   ASSERT_TRUE(rf.ok) << rf.error;
@@ -775,7 +753,6 @@ TEST(ServeRobust, TransientFailureRetriedBitExactOnEveryEngine) {
     // Exactly one retry was consumed, it is visible end to end, and the
     // retried gradient is bit-identical to the clean single-shot run.
     EXPECT_EQ(r.retries, 1);
-    EXPECT_EQ(r.stats.serveRetries, 1u);
     EXPECT_EQ(svc.stats().retries, before.retries + 1);
     EXPECT_EQ(r.primal, want.primal);
     ASSERT_EQ(r.gradient.size(), kN);
@@ -803,7 +780,6 @@ TEST(ServeRobust, RetryBudgetExhaustedSurfacesTheLastFailure) {
   ASSERT_NE(r.failure, nullptr);
   EXPECT_EQ(r.failure->kind, psim::FailureReport::Kind::RankKilled);
   EXPECT_EQ(r.retries, 2);  // the whole budget was spent
-  EXPECT_EQ(r.stats.serveRetries, 2u);
   EXPECT_GE(svc.stats().retries, 2u);
 }
 
@@ -1067,8 +1043,6 @@ TEST(ServeRobust, RegistryEvictionRecompilesBitExact) {
   ASSERT_EQ(a2.gradient.size(), kN);
   for (std::size_t k = 0; k < kN; ++k)
     EXPECT_EQ(a2.gradient[k], a1.gradient[k]) << "k=" << k;
-  // The eviction telemetry rides along in the response's RunStats snapshot.
-  EXPECT_GE(a2.stats.serveProgramEvictions, 2u);
   EXPECT_GE(svc.stats().coldCompiles, 3u);
 
   // An unbounded service never evicts (control).
@@ -1084,6 +1058,18 @@ TEST(ServeRobust, RegistryEvictionRecompilesBitExact) {
   EXPECT_FALSE(c2.coldCompile);
   EXPECT_EQ(svc2.stats().programEvictions, 0u);
   EXPECT_GT(svc2.stats().registryBytes, 0u);
+}
+
+TEST(CacheEviction, ProgramCacheByteCapKnobRejectsUnitSuffixes) {
+  EnvVar cap("PARAD_PROGRAM_CACHE_BYTES", "64MB");
+  std::string msg;
+  try {
+    (void)interp::ProgramCache::global();
+  } catch (const Error& e) {
+    msg = e.what();
+  }
+  EXPECT_NE(msg.find("PARAD_PROGRAM_CACHE_BYTES='64MB'"), std::string::npos)
+      << msg;
 }
 
 TEST(CacheEviction, ProgramCacheByteCapEvictsLeastRecentlyUsed) {
