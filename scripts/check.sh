@@ -11,7 +11,8 @@
 #                                      # library must stay warning-clean there
 #   TSAN=1 ./scripts/check.sh          # ThreadSanitizer build, concurrency
 #                                      # suites only (serve pipeline, sharded
-#                                      # cache hammer, backend registry)
+#                                      # cache hammer, backend registry,
+#                                      # fiber-switched ranks, program cache)
 #   CHAOS=1 ./scripts/check.sh         # widened fault-injection chaos sweep
 #   SCALE=1 ./scripts/check.sh         # 4096-virtual-rank weak-scaling smoke
 #   SERVE=1 ./scripts/check.sh         # serving-layer suite + mixed-traffic
@@ -51,7 +52,9 @@ fi
 if [[ "${TSAN:-0}" == "1" ]]; then
   # ThreadSanitizer lane: a separate build dir, restricted to the suites that
   # exercise real host-thread concurrency (the serving pipeline, the sharded
-  # program-cache hammer, the backend registry). The full suite under TSan
+  # program-cache hammer, the backend registry) plus the multi-rank runs
+  # whose annotated fiber switches TSan must follow (Psim) and the program
+  # cache's once-per-run validation (ExecCache). The full suite under TSan
   # would mostly re-measure single-threaded VM code at ~10x slowdown.
   BUILD_DIR=${BUILD_DIR}-tsan
   CMAKE_ARGS+=(-DPARAD_SANITIZE=thread)
@@ -59,7 +62,7 @@ if [[ "${TSAN:-0}" == "1" ]]; then
   cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
   cmake --build "$BUILD_DIR" -j "$JOBS"
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-    -R '^(Serve|ServeQueue|BoundedQueue|CacheConcurrency|BackendRegistry)\.'
+    -R '^(Serve|ServeQueue|BoundedQueue|CacheConcurrency|BackendRegistry|Psim|ExecCache)\.'
   exit 0
 fi
 

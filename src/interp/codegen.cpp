@@ -1125,7 +1125,8 @@ class CodegenBackend final : public ExecBackend {
   RtVal run(const ir::Module& mod, const ir::Function& fn,
             std::vector<RtVal> args, psim::Machine& machine,
             psim::RankEnv& env) const override {
-    std::shared_ptr<const ExecModule> xm = compileClosure(mod, fn);
+    std::shared_ptr<const ExecModule> xm =
+        compileClosure(mod, fn, machine.runId());
     std::shared_ptr<const CodegenArtifact> art =
         CodegenCache::global().lookup(*xm);
     if (art == nullptr) {

@@ -336,9 +336,10 @@ std::shared_ptr<const ExecModule> lower(const ir::Module& mod,
 }
 
 std::shared_ptr<const ExecModule> compileClosure(const ir::Module& mod,
-                                                 const ir::Function& fn) {
+                                                 const ir::Function& fn,
+                                                 std::uint64_t runId) {
   if (mod.has(fn.name) && &mod.get(fn.name) == &fn)
-    return ProgramCache::global().lookup(mod, fn);
+    return ProgramCache::global().lookup(mod, fn, runId);
   // A function object not registered in the module (e.g. a locally-built
   // kernel passed by reference): lower uncached.
   return lower(mod, fn);
@@ -413,7 +414,7 @@ void ProgramCache::evictOverCapLocked(Shard& sh) {
 }
 
 std::shared_ptr<const ExecModule> ProgramCache::lookup(
-    const ir::Module& mod, const ir::Function& entry) {
+    const ir::Module& mod, const ir::Function& entry, std::uint64_t runId) {
   Key k{&mod, entry.name};
   Shard& sh = shardOf(k);
   std::shared_ptr<const ExecModule> cached;
@@ -423,21 +424,29 @@ std::shared_ptr<const ExecModule> ProgramCache::lookup(
     if (it != sh.map.end()) {
       cached = it->second.xm;
       sh.lru.splice(sh.lru.begin(), sh.lru, it->second.lruIt);  // touch
+      if (runId != 0 && it->second.validRun == runId) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return cached;  // validated earlier in this run; the IR is read-only
+      }
     }
   }
   if (cached != nullptr) {
     // Revalidate outside the shard lock: fingerprinting walks the (read-only
     // during execution) IR and must not serialize the whole shard behind one
     // large closure.
-    if (stillValid(mod, entry, *cached)) {
+    revalidations_.fetch_add(1, std::memory_order_relaxed);
+    bool valid = stillValid(mod, entry, *cached);
+    std::lock_guard<std::mutex> lock(sh.mu);
+    auto it = sh.map.find(k);
+    // Only stamp or drop the entry we validated; a concurrent relowering may
+    // already have replaced it with a fresh one.
+    bool same = it != sh.map.end() && it->second.xm == cached;
+    if (valid) {
+      if (same) it->second.validRun = runId;
       hits_.fetch_add(1, std::memory_order_relaxed);
       return cached;
     }
-    std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.map.find(k);
-    // Only drop the entry we validated; a concurrent relowering may already
-    // have replaced it with a fresh one.
-    if (it != sh.map.end() && it->second.xm == cached) eraseLocked(sh, it);
+    if (same) eraseLocked(sh, it);
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   auto xm = lower(mod, entry);
@@ -450,10 +459,11 @@ std::shared_ptr<const ExecModule> ProgramCache::lookup(
     sh.bytes -= it->second.bytes;
     it->second.xm = xm;
     it->second.bytes = bytes;
+    it->second.validRun = runId;
     sh.lru.splice(sh.lru.begin(), sh.lru, it->second.lruIt);
   } else {
     sh.lru.push_front(k);
-    sh.map.emplace(std::move(k), Entry{xm, bytes, sh.lru.begin()});
+    sh.map.emplace(std::move(k), Entry{xm, bytes, sh.lru.begin(), runId});
   }
   sh.bytes += bytes;
   evictOverCapLocked(sh);

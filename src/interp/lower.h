@@ -14,13 +14,15 @@
 // psim::CostTable (built per MachineConfig at execution time), which keeps
 // ExecPrograms machine-independent and therefore cacheable across Machines.
 //
-// Programs are cached process-wide in ProgramCache, keyed by function. Every
+// Programs are cached process-wide in ProgramCache, keyed by function. A
 // cache hit is revalidated against a structural fingerprint of the current
-// IR, so a pass that rewrites a function between two runs (reallocating the
-// instruction vectors the old definedCache_ used to dangle into) triggers
-// relowering instead of executing stale metadata. Passes additionally
-// invalidate explicitly (src/passes) — the fingerprint is the safety net,
-// not the contract.
+// IR once per Machine::run, so a pass that rewrites a function between two
+// runs (reallocating the instruction vectors the old definedCache_ used to
+// dangle into) triggers relowering instead of executing stale metadata. The
+// IR is read-only while a run executes — a contract the cache relies on:
+// every later lookup in the same run (one per rank) reuses that validation.
+// Passes additionally invalidate explicitly (src/passes) — the fingerprint is
+// the safety net, not the contract.
 #pragma once
 
 #include <array>
@@ -137,14 +139,18 @@ std::shared_ptr<const ExecModule> lower(const ir::Module& mod,
 /// closure for `fn`, through the process-wide ProgramCache when `fn` is a
 /// module-registered function, uncached otherwise (e.g. a locally-built
 /// kernel passed by reference). Every lowered-program backend (exec,
-/// codegen) obtains its artifact here.
+/// codegen) obtains its artifact here, passing the Machine's run id (see
+/// ProgramCache::lookup).
 std::shared_ptr<const ExecModule> compileClosure(const ir::Module& mod,
-                                                 const ir::Function& fn);
+                                                 const ir::Function& fn,
+                                                 std::uint64_t runId = 0);
 
 /// Process-wide cache of lowered closures, keyed by (module, entry name).
 /// Hits are revalidated against the fingerprints of every function in the
 /// closure; mismatches (a pass rewrote IR in place, or a module address was
-/// reused) relower transparently.
+/// reused) relower transparently. An entry remembers the run under which it
+/// was last lowered or revalidated, and a later hit in that same run skips
+/// the fingerprint walk: the IR is read-only while a run executes.
 ///
 /// The cache is sharded by key hash: concurrent lookups from the serving
 /// layer's worker pool (src/serve) only contend when they land on the same
@@ -159,8 +165,12 @@ class ProgramCache {
   static ProgramCache& global();
 
   /// Returns a valid lowered closure for `entry`, from cache or fresh.
+  /// `runId` is the calling Machine::run's process-unique id (never 0): a
+  /// hit on an entry already validated under it is trusted without a
+  /// fingerprint walk. 0 (callers outside a run) revalidates every hit.
   std::shared_ptr<const ExecModule> lookup(const ir::Module& mod,
-                                           const ir::Function& entry);
+                                           const ir::Function& entry,
+                                           std::uint64_t runId = 0);
 
   /// Drops every cached closure whose program set contains `fnName`.
   /// Mutating passes call this for the function they rewrite.
@@ -188,12 +198,17 @@ class ProgramCache {
   std::size_t bytesInUse() const;
 
   /// Counters for tests and benches. A revalidation failure (stale
-  /// fingerprint) counts as a miss, not an invalidation; `invalidations` is
-  /// entries dropped by explicit invalidate()/clear() calls; `evictions` is
-  /// entries dropped by the byte-capacity LRU policy.
+  /// fingerprint) counts as a miss, not an invalidation; `revalidations` is
+  /// fingerprint walks over a cached closure, passed or failed (at most one
+  /// per entry per run); `invalidations` is entries dropped by explicit
+  /// invalidate()/clear() calls; `evictions` is entries dropped by the
+  /// byte-capacity LRU policy.
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   std::uint64_t misses() const {
     return misses_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t revalidations() const {
+    return revalidations_.load(std::memory_order_relaxed);
   }
   std::uint64_t invalidations() const {
     return invalidations_.load(std::memory_order_relaxed);
@@ -221,6 +236,7 @@ class ProgramCache {
     std::shared_ptr<const ExecModule> xm;
     std::size_t bytes = 0;
     std::list<Key>::iterator lruIt;  // position in Shard::lru (front = MRU)
+    std::uint64_t validRun = 0;      // run that last lowered or validated xm
   };
   struct Shard {
     mutable std::mutex mu;
@@ -238,8 +254,8 @@ class ProgramCache {
                    std::unordered_map<Key, Entry, KeyHash>::iterator it);
   void evictOverCapLocked(Shard& sh);
   std::array<Shard, kShards> shards_;
-  std::atomic<std::uint64_t> hits_{0}, misses_{0}, invalidations_{0},
-      evictions_{0};
+  std::atomic<std::uint64_t> hits_{0}, misses_{0}, revalidations_{0},
+      invalidations_{0}, evictions_{0};
   std::atomic<std::size_t> capacityBytes_{0};
 };
 

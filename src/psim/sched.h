@@ -1,11 +1,20 @@
 // Cooperative rank scheduler.
 //
-// Message-passing ranks execute on carrier threads, but exactly one runs at
-// any instant; a rank yields only when it blocks on a communication
-// condition. The scheduler always resumes the runnable rank with the
-// smallest virtual clock, so simulated executions are deterministic and
-// message completion times are exact (a receive can only complete once the
-// matching send has been posted).
+// Message-passing ranks execute as user-space fibers (glibc ucontext) on the
+// thread that called run(), so exactly one runs at any instant; a rank
+// yields only when it blocks on a communication condition. The scheduler
+// always resumes the runnable rank with the smallest virtual clock, so
+// simulated executions are deterministic and message completion times are
+// exact (a receive can only complete once the matching send has been
+// posted). A single-rank run executes inline on the caller's stack with no
+// context switch at all.
+//
+// Fiber stacks come from a pool owned by the scheduler: each is an mmap'd
+// region with a PROT_NONE guard page below it, reserved but committed only
+// as the rank touches it, and reused by later runs. Exceptions never cross a
+// stack: each fiber's entry point catches what its rank throws and hands it
+// to run() as an exception_ptr; a failed run resumes every parked fiber so
+// it rethrows from block() and unwinds its own stack before run() returns.
 //
 // Blocking is event-driven: a rank that cannot make progress registers
 // itself on a wake list owned by the subsystem it waits on (the fabric keys
@@ -29,6 +38,11 @@ namespace parad::psim {
 
 class CoopScheduler {
  public:
+  CoopScheduler() = default;
+  CoopScheduler(const CoopScheduler&) = delete;
+  CoopScheduler& operator=(const CoopScheduler&) = delete;
+  ~CoopScheduler();  // unmaps the stack pool
+
   /// Builds the exception a failing rank should observe; installed by the
   /// Machine so reports carry per-rank fabric snapshots. `rank` is the rank
   /// the exception is delivered to.
@@ -51,7 +65,8 @@ class CoopScheduler {
 
   /// Runs fn(rank) for ranks 0..nranks-1 cooperatively to completion.
   /// `clockOf(rank)` must return the rank's current virtual clock; it is only
-  /// called while that rank is quiescent.
+  /// called while that rank is quiescent. Throws parad::Error, before any
+  /// rank starts, when the stack pool cannot grow to `nranks` stacks.
   void run(int nranks, const std::function<void(int)>& fn,
            const std::function<double(int)>& clockOf);
 
@@ -71,7 +86,7 @@ class CoopScheduler {
   /// other live rank observes `e` (blocked ranks rethrow it from block();
   /// not-yet-started ranks never run); the caller is expected to throw `e`'s
   /// exception itself right after. Used by the checkpoint/restart machinery
-  /// to unwind all carrier threads to a clean state before a rollback.
+  /// to unwind every rank's stack to a clean state before a rollback.
   void abortAll(std::exception_ptr e);
 
   /// Telemetry of the most recent run() (valid after run returns or throws).
@@ -80,6 +95,7 @@ class CoopScheduler {
  private:
   struct Impl;
   Impl* impl_ = nullptr;
+  std::vector<void*> stacks_;  // pooled fiber stacks, guard page first
   FailureBuilder failureBuilder_;
   double virtualNsBound_ = 0;
   Telemetry telemetry_;

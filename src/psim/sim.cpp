@@ -1,6 +1,7 @@
 #include "src/psim/sim.h"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 #include <utility>
 
@@ -14,6 +15,12 @@ double Machine::run(const Launch& launch,
               "bad launch configuration");
   launch_ = launch;
   resetMemCharges();  // pick up config edits made since the last run
+  static std::atomic<std::uint64_t> lastRunId{0};
+  runId_ = lastRunId.fetch_add(1, std::memory_order_relaxed) + 1;
+  struct EndRun {
+    std::uint64_t& id;
+    ~EndRun() { id = 0; }
+  } endRun{runId_};
 
   // Resolve the fault plan for this run: an explicitly enabled config wins;
   // otherwise the PARAD_FAULTS environment spec (if any) applies.
@@ -155,8 +162,8 @@ void Machine::fireKill(int rank, double clock) {
   stats_.faultsInjected++;
   RankKillSignal sig{rank, clock,
                      killCursor_[static_cast<std::size_t>(rank)]};
-  // Coordinated abort: every carrier thread unwinds with the same signal so
-  // the whole machine reaches a clean state before the rollback.
+  // Coordinated abort: every rank unwinds with the same signal so the whole
+  // machine reaches a clean state before the rollback.
   sched_.abortAll(std::make_exception_ptr(sig));
   throw sig;
 }

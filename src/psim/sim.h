@@ -57,6 +57,11 @@ class Machine {
   /// maximum finishing virtual clock over ranks (the program's makespan).
   double run(const Launch& launch, const std::function<void(RankEnv&)>& fn);
 
+  /// Process-unique id of the run in progress (0 outside run()). The
+  /// lowered-program engines hand it to the ProgramCache, which then
+  /// fingerprints a cached closure once per run instead of once per rank.
+  std::uint64_t runId() const { return runId_; }
+
   // ---- fault injection & failure diagnostics ----
   /// The fault oracle of the current run (inert when faults are disabled).
   const FaultPlan& faultPlan() const { return faultPlan_; }
@@ -259,6 +264,7 @@ class Machine {
   std::vector<int> workers_;
   std::vector<MemCharge> memCharge_;
   Launch launch_{};
+  std::uint64_t runId_ = 0;
   std::vector<RankEnv>* envs_ = nullptr;
   FaultPlan faultPlan_;
   std::uint64_t allocSeq_ = 0;     // per-run allocation index for the plan

@@ -495,6 +495,59 @@ TEST(ExecCache, FingerprintCatchesInPlaceMutation) {
   mod.get("c").body.insts[0].fconst = 9;  // direct in-place edit
   psim::Machine m2;
   EXPECT_DOUBLE_EQ(runSerial(mod, mod.get("c"), m2, {}).u.f, 9.0);
+  // The same edit between two multi-rank runs on the *same* Machine: the
+  // once-per-run validation memo is keyed by run, not by Machine, so the
+  // second run still walks the fingerprint and sees the new constant.
+  for (const char* e : {"exec", "codegen"}) {
+    SCOPED_TRACE(e);
+    auto runRanks = [&] {
+      std::vector<double> out(4, 0);
+      m2.run({4, 1}, [&](psim::RankEnv& env) {
+        interp::Interpreter it(mod, m2, e);
+        out[(std::size_t)env.rank] = it.run(mod.get("c"), {}, env).u.f;
+      });
+      return out;
+    };
+    double before = mod.get("c").body.insts[0].fconst;
+    EXPECT_EQ(runRanks(), std::vector<double>(4, before));
+    mod.get("c").body.insts[0].fconst = before + 2;
+    EXPECT_EQ(runRanks(), std::vector<double>(4, before + 2));
+  }
+}
+
+TEST(ExecCache, RevalidatesOncePerRun) {
+  // Every rank of a run looks the closure up, but the IR is read-only while
+  // the run executes, so only the first lookup walks the fingerprints.
+  ir::Module mod;
+  ir::FunctionBuilder b(mod, "f", {Type::F64}, Type::F64);
+  b.ret(b.fmul(b.param(0), b.constF(3)));
+  b.finish();
+  ir::verify(mod);
+  auto& cache = interp::ProgramCache::global();
+  cache.clear();
+  psim::Machine m;
+  auto runRanks = [&] {
+    m.run({8, 1}, [&](psim::RankEnv& env) {
+      interp::Interpreter it(mod, m, "exec");
+      it.run(mod.get("f"), {interp::RtVal::F(2)}, env);
+    });
+  };
+  std::uint64_t h0 = cache.hits(), m0 = cache.misses(),
+                r0 = cache.revalidations();
+  runRanks();  // lowers once; the run's other seven lookups trust it
+  EXPECT_EQ(cache.misses(), m0 + 1);
+  EXPECT_EQ(cache.hits(), h0 + 7);
+  EXPECT_EQ(cache.revalidations(), r0);
+  runRanks();  // a cached closure: 8 hits, 1 fingerprint walk
+  EXPECT_EQ(cache.hits(), h0 + 15);
+  EXPECT_EQ(cache.revalidations(), r0 + 1);
+  runRanks();  // a new run validates afresh
+  EXPECT_EQ(cache.revalidations(), r0 + 2);
+  EXPECT_EQ(cache.misses(), m0 + 1);
+  // Outside a run (run id 0) every hit walks.
+  interp::compileClosure(mod, mod.get("f"));
+  interp::compileClosure(mod, mod.get("f"));
+  EXPECT_EQ(cache.revalidations(), r0 + 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,13 @@
 // Virtual machine tests: message fabric, scheduler, NUMA/time model.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstring>
+#include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "tests/test_util.h"
 
@@ -116,7 +124,9 @@ TEST(Psim, AllreduceSumMinWithWinners) {
 }
 
 TEST(Psim, DeadlockDetected) {
-  // Both ranks recv first: classic deadlock; must throw, not hang.
+  // Every rank recvs first: classic deadlock; must throw, not hang. One rank
+  // receiving from itself runs inline on the caller and must report the
+  // same deadlock.
   ir::Module mod;
   ir::FunctionBuilder b(mod, "dl", {Type::PtrF64});
   auto buf = b.param(0);
@@ -125,17 +135,130 @@ TEST(Psim, DeadlockDetected) {
   b.ret();
   b.finish();
   ir::verify(mod);
+  for (int ranks : {1, 2}) {
+    SCOPED_TRACE(ranks);
+    psim::Machine m;
+    auto b0 = makeF64(m, {0});
+    auto b1 = makeF64(m, {0});
+    psim::RtPtr bufs[2] = {b0, b1};
+    try {
+      m.run({ranks, 1}, [&](psim::RankEnv& env) {
+        interp::Interpreter it(mod, m);
+        it.run(mod.get("dl"), {interp::RtVal::P(bufs[env.rank])}, env);
+      });
+      FAIL() << "expected a deadlock report";
+    } catch (const psim::VmError& e) {
+      EXPECT_EQ(e.report().kind, psim::FailureReport::Kind::Deadlock);
+    }
+  }
+}
+
+TEST(Psim, RankErrorUnwindsBlockedRanks) {
+  // Ranks 0-2 park in a recv that rank 3 never sends, and rank 3 throws. The
+  // stranded ranks are reported as deadlocked, but the original error must
+  // win, every started rank must have unwound its stack (its RAII guard
+  // ran), and the Machine must then reproduce a clean run bit for bit.
+  const int R = 4;
+  const i64 N = 16;
+  ir::Module mod = buildRing(N);
   psim::Machine m;
-  auto b0 = makeF64(m, {0});
-  auto b1 = makeF64(m, {0});
-  psim::RtPtr bufs[2] = {b0, b1};
-  EXPECT_THROW(m.run({2, 1},
-                     [&](psim::RankEnv& env) {
-                       interp::Interpreter it(mod, m);
-                       it.run(mod.get("dl"), {interp::RtVal::P(bufs[env.rank])},
-                              env);
-                     }),
-               parad::Error);
+  std::vector<psim::RtPtr> sendb(R), recvb(R);
+  for (int r = 0; r < R; ++r) {
+    std::vector<double> v(N);
+    for (i64 i = 0; i < N; ++i) v[(std::size_t)i] = r * 100.0 + (double)i;
+    sendb[(std::size_t)r] = makeF64(m, v);
+    recvb[(std::size_t)r] = makeF64(m, std::vector<double>(N, 0));
+  }
+  auto ring = [&] {
+    double makespan = m.run({R, 1}, [&](psim::RankEnv& env) {
+      interp::Interpreter it(mod, m);
+      it.run(mod.get("ring"),
+             {interp::RtVal::P(sendb[(std::size_t)env.rank]),
+              interp::RtVal::P(recvb[(std::size_t)env.rank])},
+             env);
+    });
+    std::vector<double> out;
+    for (int r = 0; r < R; ++r) {
+      std::vector<double> v = readF64(m, recvb[(std::size_t)r], N);
+      out.insert(out.end(), v.begin(), v.end());
+    }
+    return std::make_pair(makespan, out);
+  };
+  auto clean = ring();
+
+  struct Guard {
+    int* live;
+    explicit Guard(int* l) : live(l) { ++*live; }
+    ~Guard() { --*live; }
+  };
+  int live = 0, started = 0;
+  auto scratch = makeF64(m, std::vector<double>(N, 0));
+  try {
+    m.run({R, 1}, [&](psim::RankEnv& env) {
+      Guard g(&live);
+      ++started;
+      if (env.rank == R - 1) throw std::runtime_error("rank 3 failed");
+      m.fabric()->recv(env.rank, env.main, scratch, N, /*src=*/R - 1,
+                       /*tag=*/0);
+    });
+    FAIL() << "expected the rank error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 3 failed");
+  }
+  EXPECT_EQ(started, R);
+  EXPECT_EQ(live, 0);
+
+  auto again = ring();
+  EXPECT_EQ(std::memcmp(&again.first, &clean.first, sizeof(double)), 0);
+  ASSERT_EQ(again.second.size(), clean.second.size());
+  EXPECT_EQ(std::memcmp(again.second.data(), clean.second.data(),
+                        clean.second.size() * sizeof(double)),
+            0);
+}
+
+TEST(Psim, StackPoolExhaustionIsCatchable) {
+  // A rank stack that cannot be mapped (here: an address-space cap set in a
+  // child process) is a catchable parad::Error raised before any rank runs,
+  // and the Machine works again once the cap is lifted.
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    auto vmBytes = [] {
+      std::ifstream f("/proc/self/status");
+      std::string line;
+      while (std::getline(f, line))
+        if (line.rfind("VmSize:", 0) == 0)
+          return static_cast<rlim_t>(std::stoull(line.substr(7))) * 1024;
+      return static_cast<rlim_t>(0);
+    };
+    psim::Machine m;
+    int started = 0;
+    auto body = [&](psim::RankEnv&) { ++started; };
+    rlimit old{};
+    ::getrlimit(RLIMIT_AS, &old);
+    rlimit low = old;
+    low.rlim_cur = vmBytes() + (rlim_t{32} << 20);  // room for 3 stacks
+    if (vmBytes() == 0 || ::setrlimit(RLIMIT_AS, &low) != 0) ::_exit(10);
+    int code = 11;
+    try {
+      m.run({64, 1}, body);
+    } catch (const parad::Error& e) {
+      code = std::string(e.what()).find("fiber stack") != std::string::npos &&
+                     started == 0
+                 ? 0
+                 : 12;
+    }
+    ::setrlimit(RLIMIT_AS, &old);
+    if (code == 0) {
+      m.run({64, 1}, body);
+      if (started != 64) code = 13;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST(Psim, MpBarrierAlignsClocks) {
