@@ -51,8 +51,9 @@ fi
 
 if [[ "${TSAN:-0}" == "1" ]]; then
   # ThreadSanitizer lane: a separate build dir, restricted to the suites that
-  # exercise real host-thread concurrency (the serving pipeline, the sharded
-  # program-cache hammer, the backend registry) plus the multi-rank runs
+  # exercise real host-thread concurrency (the serving pipeline and its
+  # robustness paths, the bounded queue, the sharded program-cache hammer,
+  # the backend registry) plus the multi-rank runs
   # whose annotated fiber switches TSan must follow (Psim) and the program
   # cache's once-per-run validation (ExecCache). The full suite under TSan
   # would mostly re-measure single-threaded VM code at ~10x slowdown.
@@ -62,7 +63,7 @@ if [[ "${TSAN:-0}" == "1" ]]; then
   cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
   cmake --build "$BUILD_DIR" -j "$JOBS"
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-    -R '^(Serve|ServeQueue|BoundedQueue|CacheConcurrency|BackendRegistry|Psim|ExecCache)\.'
+    -R '^(Serve|ServeRobust|BoundedQueue|CacheConcurrency|BackendRegistry|Psim|ExecCache)\.'
   exit 0
 fi
 
@@ -130,12 +131,13 @@ if [[ "${DURABLE:-0}" == "1" ]]; then
 fi
 
 if [[ "${SERVE:-0}" == "1" ]]; then
-  # Serving-layer lane: the full serve/cache-concurrency suite plus the
+  # Serving-layer lane: every serve suite (Serve, ServeRobust, ServeSoak,
+  # ServeConfigEnv), the bounded queue and the cache suites, plus the
   # mixed-traffic throughput bench in smoke mode (small request counts, the
   # >=2x gate relaxed, but the fault-injected batch and its isolation
   # invariants enforced — the bench exits non-zero on any violation).
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-    -R '^(Serve|ServeQueue|CacheConcurrency)\.'
+    -R '^(Serve[A-Za-z]*|BoundedQueue|CacheConcurrency|CacheEviction)\.'
   (cd "$BUILD_DIR" && PARAD_SERVE_SMOKE=1 bench/serve_throughput \
     --benchmark_filter='^$')
 fi

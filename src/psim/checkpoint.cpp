@@ -65,7 +65,7 @@ struct Reader {
 
 constexpr std::uint64_t kMagic = 0x70636b7074763132ull;  // "pckptv12"
 
-std::uint64_t objPayloadBytes(const ObjImage& o) {
+std::uint64_t objPayloadBytes(const MemObject& o) {
   return o.freed ? 0 : static_cast<std::uint64_t>(o.count) * 8u;
 }
 
@@ -111,22 +111,11 @@ Checkpoint CheckpointManager::capture(std::uint64_t boundary) const {
   cp.objects.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
     const MemObject& o = mem_.objectAt(k);
-    ObjImage img;
-    img.elem = o.elem;
-    img.count = o.count;
-    img.homeSocket = o.homeSocket;
-    img.freed = o.freed;
-    img.isCache = o.isCache;
-    img.isShadow = o.isShadow;
-    img.f = o.f;
-    img.i = o.i;
-    img.p = o.p;
-    img.atomicLines = o.atomicLines;
-    std::uint64_t bytes = objPayloadBytes(img);
+    std::uint64_t bytes = objPayloadBytes(o);
     cp.payloadBytes += bytes;
-    if (img.isCache) cp.cacheBytes += bytes;
-    if (img.isShadow) cp.shadowBytes += bytes;
-    cp.objects.push_back(std::move(img));
+    if (o.isCache) cp.cacheBytes += bytes;
+    if (o.isShadow) cp.shadowBytes += bytes;
+    cp.objects.push_back(o);
   }
   if (fabric_) {
     cp.sendSeq = fabric_->sendSeqState();
@@ -199,7 +188,7 @@ double CheckpointManager::openDurable(int nranks) {
   std::uint64_t fp = hash::fnv1a(&nranks, sizeof nranks);
   std::uint64_t nobj = base_.objects.size();
   fp = hash::fnv1a(&nobj, sizeof nobj, fp);
-  for (const ObjImage& o : base_.objects) {
+  for (const MemObject& o : base_.objects) {
     std::uint64_t hdr[3] = {static_cast<std::uint64_t>(o.elem),
                             static_cast<std::uint64_t>(o.count),
                             (o.freed ? 1u : 0u) | (o.isCache ? 2u : 0u) |
@@ -296,19 +285,12 @@ void CheckpointManager::applyMemory(const Checkpoint& cp) {
               "): replay diverged from the captured run");
   mem_.truncateObjects(cp.objects.size());
   for (std::size_t k = 0; k < cp.objects.size(); ++k) {
-    const ObjImage& img = cp.objects[k];
+    const MemObject& img = cp.objects[k];
     MemObject& o = mem_.objectAt(k);
     PARAD_CHECK(o.elem == img.elem && o.count == img.count,
                 "checkpoint restore: object ", k,
                 " changed shape since capture");
-    o.homeSocket = img.homeSocket;
-    o.freed = img.freed;
-    o.isCache = img.isCache;
-    o.isShadow = img.isShadow;
-    o.f = img.f;
-    o.i = img.i;
-    o.p = img.p;
-    o.atomicLines = img.atomicLines;
+    o = img;
   }
   mem_.setLiveBytes(cp.liveBytes);
 }
@@ -391,7 +373,7 @@ std::vector<std::uint8_t> CheckpointManager::serialize(
   putU64(out, sizeof(RunStats));
   out.insert(out.end(), sp, sp + sizeof(RunStats));
   putU64(out, cp.objects.size());
-  for (const ObjImage& o : cp.objects) {
+  for (const MemObject& o : cp.objects) {
     putI64(out, static_cast<std::int64_t>(o.elem));
     putI64(out, o.count);
     putI64(out, o.homeSocket);
@@ -462,7 +444,7 @@ Checkpoint CheckpointManager::deserialize(
   // tests/test_durable.cpp exercises exactly this surface under ASan.
   std::size_t nobj = r.len(8 * 8);
   cp.objects.resize(nobj);
-  for (ObjImage& o : cp.objects) {
+  for (MemObject& o : cp.objects) {
     std::int64_t elem = r.i64v();
     PARAD_CHECK(elem >= 0 && elem <= static_cast<std::int64_t>(ir::Type::Task),
                 "checkpoint deserialize: bad element type ", elem);

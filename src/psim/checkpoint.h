@@ -46,22 +46,6 @@ struct RankKillSignal {
   int killIndex = 0;  // which crash of this rank fired (fault-plan cursor)
 };
 
-/// Byte-for-byte image of one memory object (header + payload + atomic-line
-/// contention state). Freed objects are captured too (empty payload, freed
-/// flag set) so a restore reinstates use-after-free trapping exactly.
-struct ObjImage {
-  ir::Type elem = ir::Type::F64;
-  i64 count = 0;
-  int homeSocket = 0;
-  bool freed = false;
-  bool isCache = false;
-  bool isShadow = false;
-  std::vector<double> f;
-  std::vector<i64> i;
-  std::vector<RtPtr> p;
-  std::vector<MemObject::AtomicLine> atomicLines;
-};
-
 /// One snapshot of the machine at a collective boundary.
 struct Checkpoint {
   int epoch = -1;               // capture ordinal across the whole run
@@ -69,7 +53,11 @@ struct Checkpoint {
   double releaseClock = 0;      // collective release time (post write cost)
   std::uint64_t allocSeq = 0;   // fault-plan allocation cursor
   std::uint64_t liveBytes = 0;  // memory-manager live-byte counter
-  std::vector<ObjImage> objects;
+  // Byte-for-byte copies of every memory object (header, payload and
+  // atomic-line contention state). Freed objects are captured too (empty
+  // payload, freed flag set) so a restore reinstates use-after-free
+  // trapping exactly.
+  std::vector<MemObject> objects;
   Fabric::SendSeqMap sendSeq;   // fabric per-flow sequence numbers
   Fabric::RecvSeqMap recvSeq;
   RunStats stats;

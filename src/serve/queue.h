@@ -1,12 +1,12 @@
 // Bounded MPMC queue for the gradient-serving pipeline (DESIGN.md §14).
 //
 // Host-level concurrency primitive: client threads push requests, the
-// batcher and the worker pool pop them. Pushing blocks when the queue is at
-// capacity (admission backpressure — a flooded service slows its clients
-// down instead of growing an unbounded backlog), popping blocks until an
-// item, a timeout, or close. After close() pushes are rejected and pops
-// drain the remaining items before reporting emptiness, so shutdown never
-// strands a request without a response.
+// batcher and the worker pool pop them. tryPush refuses at capacity (submit
+// sheds a flooded service's excess load instead of blocking its clients);
+// push blocks at capacity (the batcher's hand-off to a busy worker pool);
+// popping blocks until an item, a timeout, or close. After close() pushes
+// are rejected and pops drain the remaining items before reporting
+// emptiness, so shutdown never strands a request without a response.
 #pragma once
 
 #include <chrono>
@@ -36,21 +36,15 @@ class BoundedQueue {
   }
 
   /// Non-blocking push: returns false immediately when the queue is full or
-  /// closed. The service's load shedder uses this so a flooded queue turns
-  /// into a structured Overload rejection instead of a blocked producer.
-  bool tryPush(T item) {
+  /// closed, leaving `item` untouched. The service's load shedder uses this
+  /// so a flooded queue turns into a structured Overload rejection — answered
+  /// through the shed job's own promise — instead of a blocked producer.
+  bool tryPush(T&& item) {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_ || items_.size() >= capacity_) return false;
     items_.push_back(std::move(item));
     notEmpty_.notify_one();
     return true;
-  }
-
-  /// Non-blocking pop: nullopt immediately when nothing is queued (whether
-  /// the queue is open, closed, or closed-and-drained).
-  std::optional<T> tryPop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return takeLocked();
   }
 
   /// Blocks until an item is available or the queue is closed and drained.

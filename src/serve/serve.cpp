@@ -6,9 +6,12 @@
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <cmath>
+#include <limits>
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -35,7 +38,6 @@ const char* const kServeKnobs[] = {
     "PARAD_SERVE_BATCH",
     "PARAD_SERVE_BREAKER",
     "PARAD_SERVE_BREAKER_COOLDOWN_MS",
-    "PARAD_SERVE_BURST",
     "PARAD_SERVE_CACHE_BYTES",
     "PARAD_SERVE_CKPT_DIR",
     "PARAD_SERVE_DEADLINE_MS",
@@ -71,6 +73,27 @@ void validateServeEnv() {
   }
 }
 
+/// The end of the host clock: a stamp that never comes.
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
+/// The host stamp `ns` nanoseconds after `t`, saturating at kNever: a huge
+/// or infinite duration means "never", not a wrapped-around "now".
+/// Non-positive and NaN durations add nothing.
+std::uint64_t addNs(std::uint64_t t, double ns) {
+  if (!(ns > 0)) return t;
+  if (ns >= 0x1p64) return kNever;
+  auto d = static_cast<std::uint64_t>(ns);
+  return d > kNever - t ? kNever : t + d;
+}
+
+/// The timed wait from `now` until stamp `t` (zero once it has passed),
+/// capped so that a saturated stamp cannot overflow a timed wait's clock
+/// arithmetic; a capped waiter simply wakes and waits again.
+std::chrono::nanoseconds waitUntil(std::uint64_t t, std::uint64_t now) {
+  constexpr std::uint64_t kMaxWaitNs = 1'000'000'000'000;  // ~17 minutes
+  return std::chrono::nanoseconds(t > now ? std::min(t - now, kMaxWaitNs) : 0);
+}
+
 }  // namespace
 
 std::uint64_t nowNs() {
@@ -101,7 +124,6 @@ ServeConfig ServeConfig::fromEnv() {
   cfg.retryMax = count("PARAD_SERVE_RETRY", cfg.retryMax);
   cfg.retryBackoffUs = real("PARAD_SERVE_RETRY_BACKOFF_US", cfg.retryBackoffUs);
   cfg.ratePerSec = real("PARAD_SERVE_RATE", cfg.ratePerSec);
-  cfg.rateBurst = real("PARAD_SERVE_BURST", cfg.rateBurst);
   cfg.maxInflight = count("PARAD_SERVE_INFLIGHT", cfg.maxInflight);
   cfg.breakerThreshold = count("PARAD_SERVE_BREAKER", cfg.breakerThreshold);
   cfg.breakerCooldownMs =
@@ -124,8 +146,6 @@ struct GradientService::Impl {
   struct Program {
     std::string primal;
     i64 n = 0;
-    int threads = 1;
-    std::uint64_t primalFp = 0;
     ir::Module mod;
     std::mutex prepMu;           // serializes cold compile AND eviction
     std::atomic<bool> prepared{false};
@@ -148,19 +168,29 @@ struct GradientService::Impl {
     std::atomic<bool> probeInflight{false};
   };
 
+  /// One tenant's admission state (DESIGN.md §15.3): its token bucket and
+  /// its admitted-but-unanswered jobs.
+  struct Tenant {
+    double tokens = 0;
+    std::uint64_t lastNs = 0;
+    int inflight = 0;
+  };
+
   struct Job {
     Request req;
     std::promise<Response> promise;
     std::uint64_t deadlineNs = 0;  // absolute host deadline; 0 = none
     bool probe = false;            // a half-open circuit-breaker probe
+    bool holdsSlot = false;        // counted in its tenant's inflight jobs
   };
 
-  /// A flushed batch: same program, same engine — one VM run for the clean
-  /// subset, per-job VMs for fault-carrying members.
+  /// A batch: same program, same engine — one VM run for the clean subset,
+  /// per-job VMs for fault-carrying members.
   struct BatchWork {
     Program* prog = nullptr;
     std::string engine;  // canonical backend name
     std::vector<Job> jobs;
+    std::uint64_t flushAtNs = 0;  // when the batcher hands it to a worker
   };
 
   explicit Impl(GradientService& svc)
@@ -177,7 +207,7 @@ struct GradientService::Impl {
   std::mutex progMu_;
   std::vector<std::unique_ptr<Program>> programs_;
   std::unordered_map<std::string, Program*> byName_;
-  std::map<std::tuple<std::uint64_t, i64, int>, Program*> byFp_;
+  std::map<std::pair<std::uint64_t, i64>, Program*> byFp_;
 
   // Aggregate counters (ServiceStats).
   std::atomic<std::uint64_t> submitted_{0}, completed_{0}, failed_{0};
@@ -192,50 +222,66 @@ struct GradientService::Impl {
   std::mutex drainMu_;
   std::condition_variable drainCv_;
 
-  // ---- per-tenant admission state ----
+  // ---- per-tenant admission ----
 
-  struct Bucket {
-    double tokens = 0;
-    std::uint64_t lastNs = 0;
-  };
   std::mutex tenantMu_;
-  std::unordered_map<std::string, Bucket> buckets_;
-  std::unordered_map<std::string, std::int64_t> inflightByTenant_;
+  std::unordered_map<std::string, Tenant> tenants_;
 
-  /// Token-bucket admission: one token per request, refilled at ratePerSec
-  /// up to the burst. Returns false when the tenant's bucket is dry.
-  bool admitRate(const std::string& tenant, std::uint64_t now) {
-    double rate = svc_.cfg_.ratePerSec;
-    if (rate <= 0) return true;
-    double burst =
-        svc_.cfg_.rateBurst > 0 ? svc_.cfg_.rateBurst : std::max(1.0, rate);
-    std::lock_guard<std::mutex> lock(tenantMu_);
-    auto [it, fresh] = buckets_.try_emplace(tenant, Bucket{burst, now});
-    Bucket& b = it->second;
-    if (!fresh) {
-      b.tokens = std::min(
-          burst, b.tokens + rate * static_cast<double>(now - b.lastNs) * 1e-9);
-      b.lastNs = now;
+  /// Submit-time admission: the tenant's token bucket (one token per
+  /// request, refilled at ratePerSec up to max(1, ratePerSec) tokens) and
+  /// its inflight cap. Both shed at once, so a throttled tenant cannot stall
+  /// anyone's producers, and a shed request spends neither a token nor a
+  /// slot. Returns the rejection, or nullopt once the job is charged. With
+  /// both limits off there is no tenant state and no lock to take.
+  std::optional<Response> admitTenant(Job& job) {
+    const ServeConfig& cfg = svc_.cfg_;
+    if (cfg.ratePerSec <= 0 && cfg.maxInflight <= 0) return std::nullopt;
+    std::string tenant = tenantOf(job.req);
+    std::unique_lock<std::mutex> lock(tenantMu_);
+    std::uint64_t now = nowNs();  // under the lock: refills see ordered stamps
+    double burst = std::max(1.0, cfg.ratePerSec);
+    Tenant& t =
+        tenants_.try_emplace(tenant, Tenant{burst, now, 0}).first->second;
+    double refill = cfg.ratePerSec * 1e-9 * static_cast<double>(now - t.lastNs);
+    t.tokens = std::min(burst, t.tokens + refill);
+    t.lastNs = now;
+    bool dry = cfg.ratePerSec > 0 && t.tokens < 1.0;
+    bool full = cfg.maxInflight > 0 && t.inflight >= cfg.maxInflight;
+    if (!dry && !full) {
+      if (cfg.ratePerSec > 0) t.tokens -= 1.0;
+      if (cfg.maxInflight > 0) ++t.inflight;
+      job.holdsSlot = cfg.maxInflight > 0;
+      return std::nullopt;
     }
-    if (b.tokens < 1.0) return false;
-    b.tokens -= 1.0;
-    return true;
+    lock.unlock();
+    (dry ? shedRate_ : shedInflight_).fetch_add(1, std::memory_order_relaxed);
+    return rejection(
+        psim::FailureReport::Kind::Overload,
+        "tenant '" + tenant +
+            (dry ? "' exceeded its rate limit (" +
+                       std::to_string(cfg.ratePerSec) + " req/s)"
+                 : "' has " + std::to_string(cfg.maxInflight) +
+                       " requests in flight (inflight cap)"),
+        job.req);
   }
 
   // ---- deadline monitor ----
   //
   // One thread owning a multimap of (absolute deadline -> weak cancel flag).
   // Workers arm a flag per deadline-carrying run; when the host clock passes
-  // a deadline the monitor sets the flag and the VM's cancel probe aborts
-  // the run with a structured Deadline report. Weak pointers keep a run that
-  // finished early from pinning its flag here.
+  // a deadline the monitor sets the flag, which the engines check at their
+  // range-exit probes, aborting the run with a structured Deadline report.
+  // Weak pointers keep a run that finished early from pinning its flag here.
   std::mutex dlMu_;
   std::condition_variable dlCv_;
   std::multimap<std::uint64_t, std::weak_ptr<std::atomic<bool>>> dlArmed_;
   bool dlStop_ = false;
   std::thread dlThread_;
 
+  /// The cancel flag the monitor sets at `deadlineNs`, or null for a run
+  /// with no deadline (0) or one past the end of the clock.
   std::shared_ptr<std::atomic<bool>> armDeadline(std::uint64_t deadlineNs) {
+    if (deadlineNs == 0 || deadlineNs == kNever) return nullptr;
     auto flag = std::make_shared<std::atomic<bool>>(false);
     {
       std::lock_guard<std::mutex> lock(dlMu_);
@@ -252,12 +298,8 @@ struct GradientService::Impl {
         dlCv_.wait(lock);
         continue;
       }
+      dlCv_.wait_for(lock, waitUntil(dlArmed_.begin()->first, nowNs()));
       std::uint64_t now = nowNs();
-      std::uint64_t next = dlArmed_.begin()->first;
-      if (next > now) {
-        dlCv_.wait_for(lock, std::chrono::nanoseconds(next - now));
-        now = nowNs();
-      }
       while (!dlArmed_.empty() && dlArmed_.begin()->first <= now) {
         if (auto flag = dlArmed_.begin()->second.lock())
           flag->store(true, std::memory_order_release);
@@ -375,7 +417,7 @@ struct GradientService::Impl {
 
   /// Failures that count toward quarantine: the job executed (or attempted
   /// preparation) and died on a program-attributable fault — traps,
-  /// kill-budget exhaustion, watchdogs, deadlocks. Host-side outcomes
+  /// kill-budget exhaustion, deadlocks. Host-side outcomes
   /// (deadline, overload, an already-open circuit) never poison the program.
   static bool countsForBreaker(const Response& r) {
     if (r.ok) return false;
@@ -394,14 +436,9 @@ struct GradientService::Impl {
       // level outcome (deadline, shed) says nothing about program health —
       // release the probe slot and leave the circuit as it was, so the next
       // admission probes again.
-      bool inconclusive = !r.ok && !failed;
-      if (!inconclusive) {
-        if (failed) {
-          p.openedAtNs.store(nowNs(), std::memory_order_relaxed);
-        } else {
-          p.openedAtNs.store(0, std::memory_order_relaxed);
-          p.consecFailures.store(0, std::memory_order_relaxed);
-        }
+      if (r.ok || failed) {  // else inconclusive
+        p.openedAtNs.store(failed ? nowNs() : 0, std::memory_order_relaxed);
+        if (r.ok) p.consecFailures.store(0, std::memory_order_relaxed);
       }
       p.probeInflight.store(false, std::memory_order_release);
       return;
@@ -418,39 +455,54 @@ struct GradientService::Impl {
       breakerOpens_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // ---- completion plumbing ----
+  // ---- answers ----
 
   static std::string tenantOf(const Request& req) {
     return req.tenant.empty() ? req.program : req.tenant;
   }
 
-  /// Builds the structured report for a service-level rejection (overload,
-  /// queued-deadline expiry, open circuit) with request attribution.
-  psim::FailureReport serviceReport(psim::FailureReport::Kind kind,
-                                    std::string detail, const Request& req) {
-    psim::FailureReport rep;
-    rep.kind = kind;
-    rep.detail = std::move(detail);
+  /// A failed response carrying `rep`, attributed to `req`.
+  static Response withReport(psim::FailureReport rep, const Request& req) {
     rep.requestId = req.id;
     rep.tenant = tenantOf(req);
-    return rep;
-  }
-
-  Response rejectionResponse(psim::FailureReport::Kind kind,
-                             std::string detail, const Request& req) {
     Response r;
-    r.ok = false;
-    auto rep = std::make_shared<psim::FailureReport>(
-        serviceReport(kind, std::move(detail), req));
-    r.error = rep->render();
-    r.failure = std::move(rep);
+    r.error = rep.render();
+    r.failure = std::make_shared<const psim::FailureReport>(std::move(rep));
     return r;
   }
 
-  void deliver(Job& job, Response&& r) {
+  /// A service-level rejection (overload, deadline, open circuit): no
+  /// virtual machine was involved.
+  static Response rejection(psim::FailureReport::Kind kind,
+                            std::string detail, const Request& req) {
+    psim::FailureReport rep;
+    rep.kind = kind;
+    rep.detail = std::move(detail);
+    return withReport(std::move(rep), req);
+  }
+
+  /// A failure without a structured report (unknown program, bad arity or
+  /// engine, preparation and host errors).
+  static Response withError(std::string error) {
+    Response r;
+    r.error = std::move(error);
+    return r;
+  }
+
+  static void stamp(Response& r, const Request& req) {
     r.doneAtNs = nowNs();
-    r.requestId = job.req.id;
-    r.tenant = tenantOf(job.req);
+    r.requestId = req.id;
+    r.tenant = tenantOf(req);
+  }
+
+  /// The one way a job is answered — submit-time rejections, admission
+  /// failures, queued-deadline expiry and executed results alike: stamp the
+  /// response, count it, free the tenant slot, resolve the promise and wake
+  /// drain(). The counters and the slot come first: a client that has
+  /// harvested every future must observe completed == submitted, and one
+  /// that re-submits right after get() must find its slot already free.
+  void answer(Job& job, Response&& r) {
+    stamp(r, job.req);
     if (r.retries > 0)
       retries_.fetch_add(static_cast<std::uint64_t>(r.retries),
                          std::memory_order_relaxed);
@@ -458,42 +510,76 @@ struct GradientService::Impl {
         r.failure->kind == psim::FailureReport::Kind::Deadline)
       deadlineExpired_.fetch_add(1, std::memory_order_relaxed);
     if (!r.ok) failed_.fetch_add(1, std::memory_order_relaxed);
-    std::string tenant = r.tenant;
-    // Count and free the tenant's inflight slot before resolving the future
-    // (like the reject paths do): a client that has harvested every future
-    // must observe completed == submitted, and one that re-submits right
-    // after get() must find its slot already released.
     completed_.fetch_add(1, std::memory_order_relaxed);
-    {
+    if (job.holdsSlot) {
       std::lock_guard<std::mutex> lock(tenantMu_);
-      auto it = inflightByTenant_.find(tenant);
-      if (it != inflightByTenant_.end() && --it->second <= 0)
-        inflightByTenant_.erase(it);
+      auto it = tenants_.find(r.tenant);
+      // Without a rate limit the record holds nothing once idle.
+      if (--it->second.inflight == 0 && svc_.cfg_.ratePerSec <= 0)
+        tenants_.erase(it);
     }
     job.promise.set_value(std::move(r));
     std::lock_guard<std::mutex> lock(drainMu_);
     drainCv_.notify_all();
   }
 
-  void failJob(Job& job, const std::string& msg) {
-    Response r;
-    r.ok = false;
-    r.error = msg;
-    deliver(job, std::move(r));
-  }
-
-  void failJobStructured(Job& job, psim::FailureReport::Kind kind,
-                         std::string detail) {
-    deliver(job, rejectionResponse(kind, std::move(detail), job.req));
-  }
-
   // ---- execution ----
 
-  psim::MachineConfig machineConfig() const {
-    psim::MachineConfig mc;
-    mc.watchdogVirtualNs = svc_.cfg_.watchdogVirtualNs;
-    mc.watchdogInsts = svc_.cfg_.watchdogInsts;
-    return mc;
+  /// One VM run for `reqs` on a fresh Machine under `mc` (one rank, one
+  /// thread), with the host-cancel flag armed when the run has a deadline.
+  /// A lone isolated request goes through the plain gradient function; a
+  /// batch goes through the batched wrapper, its inputs packed behind a
+  /// leading batch dimension. Returns one result per request; VM failures
+  /// propagate.
+  std::vector<Response> runOnVm(Program& p,
+                                const std::vector<const Request*>& reqs,
+                                bool batched, const std::string& engine,
+                                psim::MachineConfig mc,
+                                std::uint64_t deadlineNs) {
+    std::shared_ptr<std::atomic<bool>> cancel = armDeadline(deadlineNs);
+    mc.cancel = cancel.get();
+    psim::Machine m(mc);
+    psim::MemoryManager& mem = m.mem();
+    const i64 B = static_cast<i64>(reqs.size());
+    psim::RtPtr xs = mem.alloc(ir::Type::F64, B * p.n, 0);
+    psim::RtPtr dxs = mem.alloc(ir::Type::F64, B * p.n, 0);
+    psim::RtPtr seeds, primals;
+    if (batched) {
+      seeds = mem.alloc(ir::Type::F64, B, 0);
+      primals = mem.alloc(ir::Type::F64, B, 0);
+    }
+    for (i64 b = 0; b < B; ++b) {
+      const Request& req = *reqs[static_cast<std::size_t>(b)];
+      if (batched) mem.atF(seeds, b) = req.seed;
+      for (i64 k = 0; k < p.n; ++k)
+        mem.atF(xs, b * p.n + k) = req.inputs[static_cast<std::size_t>(k)];
+    }
+    using interp::RtVal;
+    const std::vector<RtVal> args =
+        batched ? std::vector<RtVal>{RtVal::P(xs), RtVal::I(p.n),
+                                     RtVal::P(dxs), RtVal::P(seeds),
+                                     RtVal::P(primals), RtVal::I(B)}
+                : std::vector<RtVal>{RtVal::P(xs), RtVal::I(p.n),
+                                     RtVal::P(dxs), RtVal::F(reqs[0]->seed)};
+    const ir::Function& fn = p.mod.get(batched ? p.bi.name : p.gi.name);
+    RtVal ret{};
+    double makespan = m.run({1, 1}, [&](psim::RankEnv& env) {
+      interp::Interpreter it(p.mod, m, engine);
+      ret = it.run(fn, args, env);
+    });
+    std::vector<Response> out(reqs.size());
+    for (i64 b = 0; b < B; ++b) {
+      Response& r = out[static_cast<std::size_t>(b)];
+      r.ok = true;
+      r.engine = engine;
+      r.primal = batched ? mem.atF(primals, b) : ret.u.f;
+      r.gradient.resize(static_cast<std::size_t>(p.n));
+      for (i64 k = 0; k < p.n; ++k)
+        r.gradient[static_cast<std::size_t>(k)] = mem.atF(dxs, b * p.n + k);
+      r.virtualNs = makespan;
+      r.stats = m.stats();
+    }
+    return out;
   }
 
   /// One execution attempt of one request on its own Machine through the
@@ -507,118 +593,68 @@ struct GradientService::Impl {
                           const std::string& engine, int attempt,
                           std::uint64_t deadlineNs) {
     Response r;
+    if (deadlineNs != 0 && nowNs() >= deadlineNs) {
+      r = rejection(psim::FailureReport::Kind::Deadline,
+                    "deadline expired before execution of program '" +
+                        req.program + "'",
+                    req);
+    } else {
+      try {
+        psim::MachineConfig mc;
+        if (!req.faultSpec.empty()) {
+          mc.faults = psim::parseFaultSpec(req.faultSpec);
+          mc.faults.seed += static_cast<std::uint64_t>(attempt);
+          // Durable warm retries: give every checkpointing fault-injected
+          // job a per-job epoch directory (stable across attempts — the
+          // retry Machine re-seats from the epochs the failed attempt
+          // published). An explicit ckpt_dir= in the request's fault spec
+          // wins.
+          if (!svc_.cfg_.ckptDir.empty() && mc.faults.ckptInterval > 0 &&
+              mc.faults.ckptDir.empty())
+            mc.faults.ckptDir =
+                svc_.cfg_.ckptDir + "/job_" + std::to_string(req.id);
+        }
+        r = std::move(runOnVm(p, {&req}, false, engine, mc, deadlineNs)[0]);
+      } catch (const psim::VmError& e) {
+        r = withReport(e.report(), req);
+      } catch (const Error& e) {
+        r = withError(e.what());
+      }
+    }
     r.isolated = true;
     r.engine = engine;
-    if (deadlineNs != 0 && nowNs() >= deadlineNs) {
-      r = rejectionResponse(
-          psim::FailureReport::Kind::Deadline,
-          "deadline expired before execution of program '" + req.program +
-              "'",
-          req);
-      r.isolated = true;
-      r.engine = engine;
-      return r;
-    }
-    std::shared_ptr<std::atomic<bool>> cancel;
-    try {
-      psim::MachineConfig mc = machineConfig();
-      if (!req.faultSpec.empty()) {
-        mc.faults = psim::parseFaultSpec(req.faultSpec);
-        mc.faults.seed += static_cast<std::uint64_t>(attempt);
-        // Durable warm retries: give every checkpointing fault-injected job
-        // a per-job epoch directory (stable across attempts — the retry
-        // Machine re-seats from the epochs the failed attempt published). An
-        // explicit ckpt_dir= in the request's fault spec wins.
-        if (!svc_.cfg_.ckptDir.empty() && mc.faults.ckptInterval > 0 &&
-            mc.faults.ckptDir.empty())
-          mc.faults.ckptDir =
-              svc_.cfg_.ckptDir + "/job_" + std::to_string(req.id);
-      }
-      if (deadlineNs != 0) {
-        cancel = armDeadline(deadlineNs);
-        mc.cancel = cancel.get();
-      }
-      psim::Machine m(mc);
-      psim::RtPtr x = m.mem().alloc(ir::Type::F64, p.n, 0);
-      psim::RtPtr dx = m.mem().alloc(ir::Type::F64, p.n, 0);
-      for (i64 k = 0; k < p.n; ++k)
-        m.mem().atF(x, k) = req.inputs[static_cast<std::size_t>(k)];
-      const ir::Function& grad = p.mod.get(p.gi.name);
-      interp::RtVal out{};
-      r.virtualNs = m.run({1, p.threads}, [&](psim::RankEnv& env) {
-        interp::Interpreter it(p.mod, m, engine);
-        out = it.run(grad,
-                     {interp::RtVal::P(x), interp::RtVal::I(p.n),
-                      interp::RtVal::P(dx), interp::RtVal::F(req.seed)},
-                     env);
-      });
-      r.primal = out.u.f;
-      r.gradient.resize(static_cast<std::size_t>(p.n));
-      for (i64 k = 0; k < p.n; ++k)
-        r.gradient[static_cast<std::size_t>(k)] = m.mem().atF(dx, k);
-      r.stats = m.stats();
-      r.ok = true;
-    } catch (const psim::VmError& e) {
-      r.gradient.clear();
-      auto rep = std::make_shared<psim::FailureReport>(e.report());
-      rep->requestId = req.id;
-      rep->tenant = tenantOf(req);
-      r.error = rep->render();
-      r.failure = std::move(rep);
-    } catch (const Error& e) {
-      r.gradient.clear();
-      r.error = e.what();
-    }
     isolatedRuns_.fetch_add(1, std::memory_order_relaxed);
     return r;
   }
 
-  /// True for failures the retry policy treats as transient: the virtual
-  /// hardware killed the run (rank crash past its recovery budget). Traps,
-  /// watchdogs and deadline expiry are job- or host-attributable and never
-  /// retried.
-  static bool isTransient(const Response& r) {
-    return !r.ok && r.failure != nullptr &&
-           r.failure->kind == psim::FailureReport::Kind::RankKilled;
-  }
-
   /// Isolated execution with the per-job retry policy: up to `retryMax`
-  /// re-dispatches after transient failures, sleeping a deterministic
-  /// exponential backoff (base * 2^attempt) between attempts, never past the
-  /// job's deadline. The successful attempt's gradient is bit-identical to a
-  /// single-shot run — each attempt is a fresh Machine; only the fault seed
-  /// differs.
+  /// re-dispatches after transient failures — the virtual hardware killed
+  /// the run (a rank crash past its recovery budget); traps and deadline
+  /// expiry are job- or host-attributable and never retried —
+  /// sleeping a deterministic exponential backoff (base * 2^attempt)
+  /// between attempts, never past the job's deadline. The successful
+  /// attempt's gradient is bit-identical to a single-shot run — each
+  /// attempt is a fresh Machine; only the fault seed differs.
   Response executeIsolated(Program& p, const Request& req,
                            const std::string& engine,
                            std::uint64_t deadlineNs) {
     int budget = req.retryMax >= 0 ? req.retryMax : svc_.cfg_.retryMax;
-    Response r;
     std::uint64_t warm = 0;  // attempts re-seated from a durable epoch
     for (int attempt = 0;; ++attempt) {
-      r = executeAttempt(p, req, engine, attempt, deadlineNs);
+      Response r = executeAttempt(p, req, engine, attempt, deadlineNs);
       r.retries = attempt;
       warm += r.stats.durableResumes;
-      if (r.ok || !isTransient(r) || attempt >= budget) {
+      double backoffNs = std::ldexp(svc_.cfg_.retryBackoffUs * 1e3, attempt);
+      std::uint64_t wake = addNs(nowNs(), backoffNs);
+      bool transient = r.failure != nullptr &&
+                       r.failure->kind == psim::FailureReport::Kind::RankKilled;
+      if (r.ok || !transient || attempt >= budget ||
+          (backoffNs > 0 && deadlineNs != 0 && wake >= deadlineNs)) {
         r.warmResumes = warm;
-        if (warm > 0)
-          warmResumes_.fetch_add(warm, std::memory_order_relaxed);
+        if (warm > 0) warmResumes_.fetch_add(warm, std::memory_order_relaxed);
         return r;
       }
-      double backoffUs =
-          svc_.cfg_.retryBackoffUs * static_cast<double>(1ull << attempt);
-      if (backoffUs > 0) {
-        std::uint64_t wake =
-            nowNs() + static_cast<std::uint64_t>(backoffUs * 1000.0);
-        if (deadlineNs != 0 && wake >= deadlineNs) {  // budget < time
-          r.warmResumes = warm;
-          if (warm > 0)
-            warmResumes_.fetch_add(warm, std::memory_order_relaxed);
-          return r;
-        }
-        std::uint64_t nw = nowNs();
-        if (wake > nw)
-          std::this_thread::sleep_for(std::chrono::nanoseconds(wake - nw));
-      }
+      std::this_thread::sleep_for(waitUntil(wake, nowNs()));
     }
   }
 
@@ -630,212 +666,140 @@ struct GradientService::Impl {
   /// (with structured Deadline reports) and their batch-mates still succeed.
   void executeBatch(BatchWork&& bw) {
     Program& p = *bw.prog;
-    const std::size_t nJobs = bw.jobs.size();
+    const int batchSize = static_cast<int>(bw.jobs.size());
     bool cold = false;
+    std::string prepError;
     try {
       cold = ensurePrepared(p);
     } catch (const Error& e) {
-      for (Job& j : bw.jobs) {
-        Response r;
-        r.ok = false;
-        r.error = std::string("serve: program preparation failed: ") +
-                  e.what();
-        recordOutcome(p, r, j.probe);
-        deliver(j, std::move(r));
-      }
-      p.inflight.fetch_sub(static_cast<int>(nJobs),
-                           std::memory_order_release);
-      sweepRegistry();
-      return;
+      prepError =
+          std::string("serve: program preparation failed: ") + e.what();
     }
-    const int batchSize = static_cast<int>(bw.jobs.size());
-
-    // Queued-deadline check: a job whose deadline passed while it sat in the
-    // pipeline is answered without a VM run (its batch-mates proceed).
-    std::vector<Job*> clean, faulted;
-    std::uint64_t now = nowNs();
-    for (Job& j : bw.jobs) {
-      if (j.deadlineNs != 0 && now >= j.deadlineNs) {
-        Response r = rejectionResponse(
-            psim::FailureReport::Kind::Deadline,
-            "deadline expired in queue for program '" + j.req.program + "'",
-            j.req);
-        recordOutcome(p, r, j.probe);  // no-op for Deadline, keeps one path
-        deliver(j, std::move(r));
-        continue;
-      }
-      (j.req.faultSpec.empty() ? clean : faulted).push_back(&j);
+    // Clean jobs first, so a faulted job's isolated run (and its retries)
+    // never delays a batch-mate's answer.
+    auto isClean = [](const Job& j) { return j.req.faultSpec.empty(); };
+    if (!std::is_partitioned(bw.jobs.begin(), bw.jobs.end(), isClean))
+      std::stable_partition(bw.jobs.begin(), bw.jobs.end(), isClean);
+    // A job whose deadline passed while it sat in the pipeline is answered
+    // without a VM run; its batch-mates proceed.
+    const std::uint64_t now = nowNs();
+    auto expired = [now](const Job& j) {
+      return j.deadlineNs != 0 && now >= j.deadlineNs;
+    };
+    std::vector<const Request*> clean;
+    std::uint64_t minDeadline = kNever;  // cancels the whole batched run
+    for (const Job& j : bw.jobs) {
+      if (!prepError.empty() || !isClean(j) || expired(j)) continue;
+      clean.push_back(&j.req);
+      if (j.deadlineNs != 0) minDeadline = std::min(minDeadline, j.deadlineNs);
     }
-
+    std::vector<Response> batched;
     if (!clean.empty()) {
-      const i64 B = static_cast<i64>(clean.size());
-      bool batchedOk = false;
-      std::vector<Response> results(clean.size());
-      // Arm the batch's cancel flag on the earliest member deadline; a
-      // cancelled batch falls back to per-job isolation below, where each
-      // job's own deadline decides its fate.
-      std::uint64_t minDeadline = 0;
-      for (Job* j : clean)
-        if (j->deadlineNs != 0 &&
-            (minDeadline == 0 || j->deadlineNs < minDeadline))
-          minDeadline = j->deadlineNs;
-      std::shared_ptr<std::atomic<bool>> cancel;
       try {
-        psim::MachineConfig mc = machineConfig();
-        if (minDeadline != 0) {
-          cancel = armDeadline(minDeadline);
-          mc.cancel = cancel.get();
-        }
-        psim::Machine m(mc);
-        psim::RtPtr xs = m.mem().alloc(ir::Type::F64, B * p.n, 0);
-        psim::RtPtr dxs = m.mem().alloc(ir::Type::F64, B * p.n, 0);
-        psim::RtPtr seeds = m.mem().alloc(ir::Type::F64, B, 0);
-        psim::RtPtr primals = m.mem().alloc(ir::Type::F64, B, 0);
-        for (i64 b = 0; b < B; ++b) {
-          const Request& req = clean[static_cast<std::size_t>(b)]->req;
-          m.mem().atF(seeds, b) = req.seed;
-          for (i64 k = 0; k < p.n; ++k)
-            m.mem().atF(xs, b * p.n + k) =
-                req.inputs[static_cast<std::size_t>(k)];
-        }
-        const ir::Function& batchFn = p.mod.get(p.bi.name);
-        double makespan = m.run({1, p.threads}, [&](psim::RankEnv& env) {
-          interp::Interpreter it(p.mod, m, bw.engine);
-          it.run(batchFn,
-                 {interp::RtVal::P(xs), interp::RtVal::I(p.n),
-                  interp::RtVal::P(dxs), interp::RtVal::P(seeds),
-                  interp::RtVal::P(primals), interp::RtVal::I(B)},
-                 env);
-        });
-        for (i64 b = 0; b < B; ++b) {
-          Response& r = results[static_cast<std::size_t>(b)];
-          r.ok = true;
-          r.primal = m.mem().atF(primals, b);
-          r.gradient.resize(static_cast<std::size_t>(p.n));
-          for (i64 k = 0; k < p.n; ++k)
-            r.gradient[static_cast<std::size_t>(k)] =
-                m.mem().atF(dxs, b * p.n + k);
-          r.virtualNs = makespan;
-          r.stats = m.stats();
-        }
-        batchedOk = true;
+        batched = runOnVm(p, clean, true, bw.engine, {}, minDeadline);
+        countBatch(clean.size());
       } catch (const Error&) {
         // The batch VM died (an input-dependent trap, or the deadline
-        // monitor cancelled the run). Fall back to per-request isolation
-        // below: the culprit fails alone with its own structured report,
-        // everyone else still gets a bit-exact result.
+        // monitor cancelled the run): every clean job re-runs isolated
+        // below, where the culprit fails alone with its own structured
+        // report and everyone else still gets a bit-exact result.
         batchFallbacks_.fetch_add(1, std::memory_order_relaxed);
       }
-      if (batchedOk) {
-        nBatches_.fetch_add(1, std::memory_order_relaxed);
-        batchedRequests_.fetch_add(static_cast<std::uint64_t>(B),
-                                   std::memory_order_relaxed);
-        std::uint64_t prev = maxBatchObserved_.load(std::memory_order_relaxed);
-        while (prev < static_cast<std::uint64_t>(B) &&
-               !maxBatchObserved_.compare_exchange_weak(
-                   prev, static_cast<std::uint64_t>(B),
-                   std::memory_order_relaxed)) {
-        }
-        for (std::size_t i = 0; i < clean.size(); ++i) {
-          Response r = std::move(results[i]);
-          r.batchSize = batchSize;
-          r.coldCompile = cold;
-          r.engine = bw.engine;
-          recordOutcome(p, r, clean[i]->probe);
-          deliver(*clean[i], std::move(r));
-        }
+    }
+    std::size_t next = 0;
+    for (Job& j : bw.jobs) {
+      Response r;
+      if (!prepError.empty()) {
+        r = withError(prepError);
+      } else if (expired(j)) {
+        r = rejection(psim::FailureReport::Kind::Deadline,
+                      "deadline expired in queue for program '" +
+                          j.req.program + "'",
+                      j.req);
       } else {
-        for (Job* j : clean) {
-          Response r = executeIsolated(p, j->req, bw.engine, j->deadlineNs);
-          r.batchSize = batchSize;
-          r.coldCompile = cold;
-          recordOutcome(p, r, j->probe);
-          deliver(*j, std::move(r));
-        }
+        r = isClean(j) && !batched.empty()
+                ? std::move(batched[next++])
+                : executeIsolated(p, j.req, bw.engine, j.deadlineNs);
+        r.batchSize = batchSize;
+        r.coldCompile = cold;
       }
+      recordOutcome(p, r, j.probe);
+      answer(j, std::move(r));
     }
-    for (Job* j : faulted) {
-      Response r = executeIsolated(p, j->req, bw.engine, j->deadlineNs);
-      r.batchSize = batchSize;
-      r.coldCompile = cold;
-      recordOutcome(p, r, j->probe);
-      deliver(*j, std::move(r));
-    }
-    p.inflight.fetch_sub(static_cast<int>(nJobs), std::memory_order_release);
+    p.inflight.fetch_sub(batchSize, std::memory_order_release);
     sweepRegistry();
+  }
+
+  void countBatch(std::size_t size) {
+    auto b = static_cast<std::uint64_t>(size);
+    nBatches_.fetch_add(1, std::memory_order_relaxed);
+    batchedRequests_.fetch_add(b, std::memory_order_relaxed);
+    std::uint64_t prev = maxBatchObserved_.load(std::memory_order_relaxed);
+    while (prev < b && !maxBatchObserved_.compare_exchange_weak(
+                           prev, b, std::memory_order_relaxed)) {
+    }
   }
 
   // ---- batcher ----
 
-  struct Pending {
-    BatchWork work;
-    std::uint64_t deadlineNs = 0;  // host time at which this batch flushes
-  };
+  /// Batches being formed, by (program, engine).
+  using PendingMap = std::map<std::pair<Program*, std::string>, BatchWork>;
 
-  void flush(std::map<std::pair<Program*, std::string>, Pending>& pending,
-             std::map<std::pair<Program*, std::string>, Pending>::iterator it) {
-    batches_.push(std::move(it->second.work));
+  void flush(PendingMap& pending, PendingMap::iterator it) {
+    batches_.push(std::move(it->second));
     pending.erase(it);
   }
 
   void batcherLoop() {
-    using Key = std::pair<Program*, std::string>;
-    std::map<Key, Pending> pending;
-    const std::uint64_t maxDelayNs = static_cast<std::uint64_t>(
-        std::max(0.0, svc_.cfg_.maxDelayUs) * 1000.0);
-    for (;;) {
-      std::uint64_t now = nowNs();
-      std::uint64_t waitNs = maxDelayNs > 0 ? maxDelayNs : 1000000;
-      for (const auto& [k, pd] : pending)
-        waitNs = std::min(waitNs,
-                          pd.deadlineNs > now ? pd.deadlineNs - now : 1);
+    PendingMap pending;
+    for (bool closing = false; !closing;) {
+      std::uint64_t next = kNever;
+      for (const auto& [k, bw] : pending) next = std::min(next, bw.flushAtNs);
       std::optional<Job> item =
           pending.empty() ? requests_.pop()
-                          : requests_.popFor(std::chrono::nanoseconds(waitNs));
-      if (item.has_value()) {
-        admit(std::move(*item), pending, maxDelayNs);
-      } else if (requests_.closed() && requests_.size() == 0) {
-        for (auto it = pending.begin(); it != pending.end();)
-          flush(pending, it++);
-        break;
-      }
+                          : requests_.popFor(waitUntil(next, nowNs()));
+      if (item.has_value())
+        admit(std::move(*item), pending);
+      else
+        closing = requests_.closed() && requests_.size() == 0;
       // Flush every batch whose oldest member has waited out the max delay,
-      // and (when the queue went idle) everything else ready to go.
+      // and everything once the queue is closed and drained.
       std::uint64_t t = nowNs();
       for (auto it = pending.begin(); it != pending.end();) {
         auto cur = it++;
-        if (t >= cur->second.deadlineNs) flush(pending, cur);
+        if (closing || t >= cur->second.flushAtNs) flush(pending, cur);
       }
     }
   }
 
-  void admit(Job&& job, std::map<std::pair<Program*, std::string>,
-                                 Pending>& pending,
-             std::uint64_t maxDelayNs) {
+  void admit(Job&& job, PendingMap& pending) {
     Program* prog = findProgram(job.req.program);
     if (prog == nullptr) {
-      failJob(job, "serve: unknown program '" + job.req.program + "'");
+      answer(job, withError("serve: unknown program '" + job.req.program +
+                            "'"));
       return;
     }
     if (static_cast<i64>(job.req.inputs.size()) != prog->n) {
-      failJob(job, "serve: program '" + job.req.program + "' expects " +
-                       std::to_string(prog->n) + " inputs, got " +
-                       std::to_string(job.req.inputs.size()));
+      answer(job, withError("serve: program '" + job.req.program +
+                            "' expects " + std::to_string(prog->n) +
+                            " inputs, got " +
+                            std::to_string(job.req.inputs.size())));
       return;
     }
     std::string engine;
     try {
       engine = resolveEngine(job.req.engine);
     } catch (const Error& e) {
-      failJob(job, e.what());
+      answer(job, withError(e.what()));
       return;
     }
     // Queued-deadline expiry: answered here, at admission, without ever
     // reaching a worker or a VM.
     if (job.deadlineNs != 0 && nowNs() >= job.deadlineNs) {
-      failJobStructured(job, psim::FailureReport::Kind::Deadline,
-                        "deadline expired in queue for program '" +
-                            job.req.program + "'");
+      answer(job, rejection(psim::FailureReport::Kind::Deadline,
+                            "deadline expired in queue for program '" +
+                                job.req.program + "'",
+                            job.req));
       return;
     }
     // Circuit breaker: an open circuit short-circuits jobs here (no worker
@@ -844,40 +808,39 @@ struct GradientService::Impl {
     if (svc_.cfg_.breakerThreshold > 0) {
       std::uint64_t opened = prog->openedAtNs.load(std::memory_order_relaxed);
       if (opened != 0) {
-        std::uint64_t cooldownNs = static_cast<std::uint64_t>(
-            std::max(0.0, svc_.cfg_.breakerCooldownMs) * 1e6);
         bool expected = false;
-        if (nowNs() >= opened + cooldownNs &&
+        if (nowNs() >= addNs(opened, svc_.cfg_.breakerCooldownMs * 1e6) &&
             prog->probeInflight.compare_exchange_strong(
                 expected, true, std::memory_order_acq_rel)) {
           job.probe = true;
           breakerProbes_.fetch_add(1, std::memory_order_relaxed);
         } else {
           breakerShortCircuits_.fetch_add(1, std::memory_order_relaxed);
-          failJobStructured(
-              job, psim::FailureReport::Kind::CircuitOpen,
-              "program '" + job.req.program + "' quarantined after " +
-                  std::to_string(prog->consecFailures.load(
-                      std::memory_order_relaxed)) +
-                  " consecutive failures (cooldown " +
-                  std::to_string(svc_.cfg_.breakerCooldownMs) + " ms)");
+          answer(job,
+                 rejection(psim::FailureReport::Kind::CircuitOpen,
+                           "program '" + job.req.program +
+                               "' quarantined after " +
+                               std::to_string(prog->consecFailures.load(
+                                   std::memory_order_relaxed)) +
+                               " consecutive failures (cooldown " +
+                               std::to_string(svc_.cfg_.breakerCooldownMs) +
+                               " ms)",
+                           job.req));
           return;
         }
       }
     }
     prog->inflight.fetch_add(1, std::memory_order_acq_rel);
     prog->lastUsedNs.store(nowNs(), std::memory_order_relaxed);
-    std::pair<Program*, std::string> key{prog, engine};
-    auto it = pending.find(key);
-    if (it == pending.end()) {
-      Pending pd;
-      pd.work.prog = prog;
-      pd.work.engine = engine;
-      pd.deadlineNs = nowNs() + maxDelayNs;
-      it = pending.emplace(key, std::move(pd)).first;
+    auto [it, fresh] = pending.try_emplace({prog, engine});
+    BatchWork& bw = it->second;
+    if (fresh) {
+      bw.prog = prog;
+      bw.engine = engine;
+      bw.flushAtNs = addNs(nowNs(), svc_.cfg_.maxDelayUs * 1e3);
     }
-    it->second.work.jobs.push_back(std::move(job));
-    if (static_cast<int>(it->second.work.jobs.size()) >= svc_.cfg_.maxBatch)
+    bw.jobs.push_back(std::move(job));
+    if (static_cast<int>(bw.jobs.size()) >= svc_.cfg_.maxBatch)
       flush(pending, it);
   }
 
@@ -915,9 +878,8 @@ GradientService::~GradientService() {
 
 void GradientService::registerProgram(
     const std::string& name, const std::function<void(ir::Module&)>& build,
-    const std::string& primal, i64 n, int threadsPerRank) {
+    const std::string& primal, i64 n) {
   PARAD_CHECK(n > 0, "serve: program ", name, " needs a positive input size");
-  int threads = threadsPerRank > 0 ? threadsPerRank : cfg_.threadsPerRank;
   auto prog = std::make_unique<Impl::Program>();
   build(prog->mod);
   PARAD_CHECK(prog->mod.has(primal), "serve: builder for ", name,
@@ -932,8 +894,6 @@ void GradientService::registerProgram(
               "f(x: ptr<f64>, n: i64) -> f64");
   prog->primal = primal;
   prog->n = n;
-  prog->threads = threads;
-  prog->primalFp = interp::fingerprint(fn);
 
   std::lock_guard<std::mutex> lock(impl_->progMu_);
   PARAD_CHECK(impl_->byName_.count(name) == 0, "serve: program ", name,
@@ -941,7 +901,7 @@ void GradientService::registerProgram(
   // Same-fingerprint admission: tenants whose primal IR is structurally
   // identical share one prepared program — one gradient generation, one set
   // of cache entries, shared batches.
-  std::tuple<std::uint64_t, i64, int> fpKey{prog->primalFp, n, threads};
+  std::pair<std::uint64_t, i64> fpKey{interp::fingerprint(fn), n};
   auto shared = impl_->byFp_.find(fpKey);
   if (shared != impl_->byFp_.end()) {
     impl_->byName_.emplace(name, shared->second);
@@ -955,95 +915,28 @@ void GradientService::registerProgram(
 
 std::future<Response> GradientService::submit(Request req) {
   Impl& im = *impl_;
-  std::uint64_t now = nowNs();
   if (req.id == 0)
     req.id = im.nextId_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::string tenant = Impl::tenantOf(req);
-
-  // Answers a request rejected before it ever entered the queue: structured
-  // report, counters kept coherent with drain()'s submitted == completed
-  // invariant.
-  auto rejectNow = [&](psim::FailureReport::Kind kind,
-                       std::string detail) -> std::future<Response> {
-    std::promise<Response> p;
-    std::future<Response> f = p.get_future();
-    Response r = im.rejectionResponse(kind, std::move(detail), req);
-    r.doneAtNs = nowNs();
-    r.requestId = req.id;
-    r.tenant = tenant;
-    im.submitted_.fetch_add(1, std::memory_order_relaxed);
-    im.failed_.fetch_add(1, std::memory_order_relaxed);
-    im.completed_.fetch_add(1, std::memory_order_relaxed);
-    p.set_value(std::move(r));
-    std::lock_guard<std::mutex> lock(im.drainMu_);
-    im.drainCv_.notify_all();
-    return f;
-  };
-
-  // Per-tenant admission: token-bucket rate, then the inflight cap. Both
-  // shed immediately — a throttled tenant cannot stall anyone's producers.
-  if (!im.admitRate(tenant, now)) {
-    im.shedRate_.fetch_add(1, std::memory_order_relaxed);
-    return rejectNow(psim::FailureReport::Kind::Overload,
-                     "tenant '" + tenant + "' exceeded its rate limit (" +
-                         std::to_string(cfg_.ratePerSec) + " req/s)");
-  }
-  {
-    std::unique_lock<std::mutex> lock(im.tenantMu_);
-    std::int64_t& inflight = im.inflightByTenant_[tenant];
-    if (cfg_.maxInflight > 0 && inflight >= cfg_.maxInflight) {
-      lock.unlock();
-      im.shedInflight_.fetch_add(1, std::memory_order_relaxed);
-      return rejectNow(psim::FailureReport::Kind::Overload,
-                       "tenant '" + tenant + "' has " +
-                           std::to_string(cfg_.maxInflight) +
-                           " requests in flight (inflight cap)");
-    }
-    ++inflight;
-  }
-
-  std::uint64_t id = req.id;
   Impl::Job job;
   double dl = req.deadlineMs != 0 ? req.deadlineMs : cfg_.deadlineMs;
-  job.deadlineNs = dl > 0 ? now + static_cast<std::uint64_t>(dl * 1e6) : 0;
+  job.deadlineNs = dl > 0 ? addNs(nowNs(), dl * 1e6) : 0;
   job.req = std::move(req);
   std::future<Response> fut = job.promise.get_future();
   im.submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (!im.requests_.tryPush(std::move(job))) {
-    // The moved-from job's promise died inside tryPush; answer through a
-    // fresh one. Undo the inflight charge — this request never runs.
-    {
-      std::lock_guard<std::mutex> lock(im.tenantMu_);
-      auto it = im.inflightByTenant_.find(tenant);
-      if (it != im.inflightByTenant_.end() && --it->second <= 0)
-        im.inflightByTenant_.erase(it);
-    }
-    std::promise<Response> p;
-    std::future<Response> f2 = p.get_future();
-    Response r;
+  if (std::optional<Response> shed = im.admitTenant(job)) {
+    im.answer(job, std::move(*shed));
+  } else if (!im.requests_.tryPush(std::move(job))) {
     if (im.requests_.closed()) {
-      r.ok = false;
-      r.error = "serve: service is shutting down";
+      im.answer(job, Impl::withError("serve: service is shutting down"));
     } else {
       im.shedOverload_.fetch_add(1, std::memory_order_relaxed);
-      Request attributed;  // req was moved into the dead job; re-attribute
-      attributed.id = id;
-      attributed.tenant = tenant;
-      r = im.rejectionResponse(
-          psim::FailureReport::Kind::Overload,
-          "request queue full (capacity " +
-              std::to_string(cfg_.queueCapacity) + "), load shed",
-          attributed);
+      im.answer(job, Impl::rejection(
+                         psim::FailureReport::Kind::Overload,
+                         "request queue full (capacity " +
+                             std::to_string(cfg_.queueCapacity) +
+                             "), load shed",
+                         job.req));
     }
-    r.doneAtNs = nowNs();
-    r.requestId = id;
-    r.tenant = tenant;
-    im.failed_.fetch_add(1, std::memory_order_relaxed);
-    im.completed_.fetch_add(1, std::memory_order_relaxed);
-    p.set_value(std::move(r));
-    std::lock_guard<std::mutex> lock(im.drainMu_);
-    im.drainCv_.notify_all();
-    return f2;
   }
   return fut;
 }
@@ -1054,37 +947,31 @@ Response GradientService::call(Request req) {
 
 Response GradientService::callDirect(const Request& req) {
   Impl::Program* prog = impl_->findProgram(req.program);
-  if (prog == nullptr) {
-    Response r;
-    r.error = "serve: unknown program '" + req.program + "'";
-    return r;
-  }
   Response r;
-  // The reference path skips admission control (it is the oracle the
-  // admission-controlled path is measured against) but shares the retry and
-  // per-request deadline machinery, and pins the program against eviction
-  // for the duration of the run like any batched job.
-  prog->inflight.fetch_add(1, std::memory_order_acq_rel);
-  prog->lastUsedNs.store(nowNs(), std::memory_order_relaxed);
-  try {
-    bool cold = impl_->ensurePrepared(*prog);
-    std::string engine = impl_->resolveEngine(req.engine);
-    std::uint64_t deadlineNs =
-        req.deadlineMs > 0
-            ? nowNs() + static_cast<std::uint64_t>(req.deadlineMs * 1e6)
-            : 0;
-    r = impl_->executeIsolated(*prog, req, engine, deadlineNs);
-    r.batchSize = 1;
-    r.coldCompile = cold;
-  } catch (const Error& e) {
-    r.ok = false;
-    r.error = e.what();
+  if (prog == nullptr) {
+    r = Impl::withError("serve: unknown program '" + req.program + "'");
+  } else {
+    // The reference path skips admission control (it is the oracle the
+    // admission-controlled path is measured against) but shares the retry
+    // and per-request deadline machinery, and pins the program against
+    // eviction for the duration of the run like any batched job.
+    prog->inflight.fetch_add(1, std::memory_order_acq_rel);
+    prog->lastUsedNs.store(nowNs(), std::memory_order_relaxed);
+    try {
+      bool cold = impl_->ensurePrepared(*prog);
+      std::string engine = impl_->resolveEngine(req.engine);
+      std::uint64_t deadlineNs =
+          req.deadlineMs > 0 ? addNs(nowNs(), req.deadlineMs * 1e6) : 0;
+      r = impl_->executeIsolated(*prog, req, engine, deadlineNs);
+      r.batchSize = 1;
+      r.coldCompile = cold;
+    } catch (const Error& e) {
+      r = Impl::withError(e.what());
+    }
+    prog->inflight.fetch_sub(1, std::memory_order_release);
+    impl_->sweepRegistry();
   }
-  prog->inflight.fetch_sub(1, std::memory_order_release);
-  impl_->sweepRegistry();
-  r.requestId = req.id;
-  r.tenant = Impl::tenantOf(req);
-  r.doneAtNs = nowNs();
+  Impl::stamp(r, req);
   return r;
 }
 

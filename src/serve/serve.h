@@ -3,7 +3,8 @@
 //
 // The pipeline is queue -> admission -> batcher -> worker pool:
 //   * submit() pushes (program, inputs, seed, engine) jobs onto a bounded
-//     MPMC request queue (backpressure when full);
+//     MPMC request queue, shedding with a structured Overload rejection when
+//     it is full (only the batcher's hand-off to the workers blocks);
 //   * the batcher thread admits each request — resolves its tenant program,
 //     validates the engine spec against the backend registry, fingerprints
 //     the program against the sharded process-wide ProgramCache — and
@@ -64,8 +65,8 @@ namespace parad::serve {
 ///   PARAD_SERVE_DEADLINE_MS   default per-job deadline (0 = none)
 ///   PARAD_SERVE_RETRY         transient-failure retry budget per job
 ///   PARAD_SERVE_RETRY_BACKOFF_US  base retry backoff (doubles per attempt)
-///   PARAD_SERVE_RATE          per-tenant admitted requests/second (0 = off)
-///   PARAD_SERVE_BURST         token-bucket burst (0 = max(1, rate))
+///   PARAD_SERVE_RATE          per-tenant admitted requests/second (0 = off;
+///                             the bucket holds max(1, rate) tokens)
 ///   PARAD_SERVE_INFLIGHT      per-tenant unanswered-request cap (0 = off)
 ///   PARAD_SERVE_BREAKER       consecutive failures that open the breaker
 ///   PARAD_SERVE_BREAKER_COOLDOWN_MS  open -> half-open probe delay
@@ -85,17 +86,11 @@ struct ServeConfig {
   double maxDelayUs = 200.0;       // host microseconds
   std::size_t queueCapacity = 1024;
   std::string engine;              // "" = process default engine
-  int threadsPerRank = 1;          // virtual threads modeled per job VM
-  // Per-job VM watchdogs (0 = off): a pathological job trips a structured
-  // VmError on its own Machine instead of wedging a worker forever.
-  double watchdogVirtualNs = 0;
-  std::uint64_t watchdogInsts = 0;
   // Robustness knobs (DESIGN.md §15). All host-time values; 0 disables.
   double deadlineMs = 0;           // default per-job deadline
   int retryMax = 0;                // transient-failure retries per job
   double retryBackoffUs = 50.0;    // base backoff; attempt k sleeps 2^k * base
   double ratePerSec = 0;           // per-tenant token-bucket refill rate
-  double rateBurst = 0;            // bucket capacity; 0 = max(1, ratePerSec)
   int maxInflight = 0;             // per-tenant admitted-but-unanswered cap
   int breakerThreshold = 0;        // consecutive failures that open the breaker
   double breakerCooldownMs = 100;  // open -> half-open probe delay
@@ -131,7 +126,7 @@ struct Response {
   std::vector<double> gradient;  // dx, length n (empty on failure)
   double primal = 0;             // primal value at the request's inputs
   std::string error;             // rendered failure message when !ok
-  /// Structured VM failure (rank kill, watchdog, deadlock) when the job died
+  /// Structured VM failure (rank kill, deadline, deadlock) when the job died
   /// inside its virtual machine; null for admission/validation errors.
   std::shared_ptr<const psim::FailureReport> failure;
 
@@ -201,15 +196,15 @@ class GradientService {
   /// Registers a tenant program: `build` emits the primal function `primal`
   /// (canonical servable signature f(x: ptr<f64>, n: i64) -> f64, x active)
   /// into a fresh module; `n` is the fixed input length. Programs whose
-  /// primal IR is structurally identical (same fingerprint) and same n/
-  /// threads share one prepared gradient, its cache entries, and batches —
-  /// the cross-tenant amortization the fingerprint admission enables.
-  /// Gradient generation and lowering are deferred to first use (the cold
-  /// path). Re-registering an existing name is an error.
+  /// primal IR is structurally identical (same fingerprint) and same n
+  /// share one prepared gradient, its cache entries, and batches — the
+  /// cross-tenant amortization the fingerprint admission enables. Each job
+  /// runs on one virtual rank with one thread. Gradient generation and
+  /// lowering are deferred to first use (the cold path). Re-registering an
+  /// existing name is an error.
   void registerProgram(const std::string& name,
                        const std::function<void(ir::Module&)>& build,
-                       const std::string& primal, i64 n,
-                       int threadsPerRank = 0);
+                       const std::string& primal, i64 n);
 
   /// Enqueues a job; the future resolves when a worker scatters the result.
   std::future<Response> submit(Request req);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -16,6 +17,8 @@ double parseReal(const char* who, const char* name, const std::string& s) {
   double v = std::strtod(s.c_str(), &end);
   if (end == s.c_str() || *end != '\0')
     fail(who, ": malformed ", name, "='", s, "' (expected a number)");
+  if (!std::isfinite(v))
+    fail(who, ": ", name, " must be finite, got '", s, "'");
   if (v < 0) fail(who, ": ", name, " must be non-negative, got '", s, "'");
   return v;
 }

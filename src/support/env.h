@@ -17,8 +17,9 @@ namespace parad::env {
 /// The value of `name`, or "" when it is unset or empty.
 std::string text(const char* name);
 
-/// `name` as a non-negative number (strtod syntax), or nullopt when unset or
-/// empty. Errors are prefixed with `who`, the subsystem that owns the knob.
+/// `name` as a finite, non-negative number (strtod syntax), or nullopt when
+/// unset or empty. "nan", "inf" and overflowing values fail. Errors are
+/// prefixed with `who`, the subsystem that owns the knob.
 std::optional<double> real(const char* who, const char* name);
 
 /// `name` as a non-negative decimal integer no larger than `max`, or nullopt

@@ -8,13 +8,13 @@
 #include <chrono>
 #include <deque>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/interp/lower.h"
 #include "src/passes/passes.h"
-#include "src/serve/queue.h"
 #include "src/serve/serve.h"
 #include "tests/test_util.h"
 
@@ -79,33 +79,6 @@ std::vector<double> inputFor(int j, std::size_t n) {
     x[k] = 0.25 + 0.125 * static_cast<double>(j) +
            0.5 * static_cast<double>(k);
   return x;
-}
-
-// ---------------------------------------------------------------------------
-// Bounded queue.
-
-TEST(ServeQueue, FifoBackpressureAndClose) {
-  serve::BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  // A full queue blocks the producer until a consumer makes room.
-  std::thread consumer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(q.pop().value(), 1);
-  });
-  EXPECT_TRUE(q.push(3));
-  consumer.join();
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-  // popFor times out empty-handed with the queue still open.
-  EXPECT_EQ(q.popFor(std::chrono::milliseconds(1)), std::nullopt);
-  EXPECT_FALSE(q.closed());
-  // close() rejects pushes but drains what is already queued.
-  EXPECT_TRUE(q.push(4));
-  q.close();
-  EXPECT_FALSE(q.push(5));
-  EXPECT_EQ(q.pop().value(), 4);
-  EXPECT_EQ(q.pop(), std::nullopt);
 }
 
 // ---------------------------------------------------------------------------
@@ -652,6 +625,28 @@ TEST(ServeRobust, RequestOptsOutOfServiceDefaultDeadline) {
   serve::Response ri = svc.call(immortal);
   ASSERT_TRUE(ri.ok) << ri.error;
   EXPECT_GE(svc.stats().deadlineExpired, 1u);
+}
+
+TEST(ServeRobust, DeadlinesPastTheEndOfTheClockNeverExpire) {
+  // A deadline too far out for the host clock saturates to "never"; it must
+  // not wrap around into one that has already passed.
+  constexpr std::size_t kN = 4;
+  serve::ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.maxBatch = 1;
+  serve::GradientService svc(cfg);
+  svc.registerProgram("poly", servable(2.0), "f", kN);
+  for (double ms : {2e13, 1e300, std::numeric_limits<double>::infinity()}) {
+    serve::Request req;
+    req.program = "poly";
+    req.inputs = inputFor(0, kN);
+    req.deadlineMs = ms;
+    serve::Response r = svc.call(req);
+    EXPECT_TRUE(r.ok) << ms << " ms: " << r.error;
+    serve::Response d = svc.callDirect(req);
+    EXPECT_TRUE(d.ok) << ms << " ms: " << d.error;
+  }
+  EXPECT_EQ(svc.stats().deadlineExpired, 0u);
 }
 
 TEST(ServeRobust, MidRunDeadlineCancelsJobWhileBatchMateSurvives) {

@@ -154,6 +154,18 @@ TEST(Support, StrictKnobReaders) {
     EXPECT_EQ(errorOf([&] { env::real("test", knob); }),
               "test: PARAD_TEST_SUPPORT_KNOB must be non-negative, got '-1'");
   }
+  // strtod parses these, but no knob means "not a number" or "forever".
+  for (const char* bad : {"nan", "inf", "-inf", "Infinity", "1e999"}) {
+    test::EnvVar v(knob, bad);
+    EXPECT_EQ(errorOf([&] { env::real("test", knob); }),
+              std::string("test: PARAD_TEST_SUPPORT_KNOB must be finite, "
+                          "got '") +
+                  bad + "'");
+    EXPECT_EQ(errorOf([&] { env::count("test", knob); }),
+              std::string("test: PARAD_TEST_SUPPORT_KNOB must be finite, "
+                          "got '") +
+                  bad + "'");
+  }
 }
 
 }  // namespace
