@@ -23,7 +23,9 @@
 #                                      # hot/cold/faulted/expired traffic at
 #                                      # several times queue capacity
 #   CODEGEN=1 ./scripts/check.sh       # whole suite under the codegen engine
-#                                      # + dispatch-throughput criterion check
+#                                      # + dispatch-throughput criterion check;
+#                                      # with SANITIZE=1 the generated code is
+#                                      # built with ASan+UBSan as well
 #   DURABLE=1 ./scripts/check.sh       # widened durable-checkpoint lane:
 #                                      # disk-fault chaos (iofail/torn/
 #                                      # iocorrupt x kill) + restart-resume
@@ -108,12 +110,18 @@ if [[ "${CODEGEN:-0}" == "1" ]]; then
   # bit-identical by contract, so nothing but wall time may change), against
   # a private artifact directory so runs can't poison each other's caches.
   # Then the dispatch micro-benchmark with the codegen lane enabled: the JSON
-  # gains codegen_* rows and the >= 2x-over-exec headline.
-  PARAD_ENGINE=codegen \
-  PARAD_CODEGEN_DIR="$BUILD_DIR/codegen-cache" \
+  # gains codegen_* rows and the codegen-over-exec headline. Generated code
+  # reads and writes host heap memory directly (the inline f64 load/store
+  # path), so under SANITIZE=1 the generated TUs are instrumented too.
+  if [[ "${SANITIZE:-0}" == "1" ]]; then
+    export PARAD_CODEGEN_FLAGS="${PARAD_CODEGEN_FLAGS:-} -fsanitize=address,undefined"
+  fi
+  # The directory is absolute: ctest runs each test in "$BUILD_DIR/tests".
+  CODEGEN_DIR="$(cd "$BUILD_DIR" && pwd)/codegen-cache"
+  PARAD_ENGINE=codegen PARAD_CODEGEN_DIR="$CODEGEN_DIR" \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
-  (cd "$BUILD_DIR" && PARAD_BENCH_CODEGEN=1 bench/micro_interp \
-    --benchmark_filter='^$')
+  (cd "$BUILD_DIR" && PARAD_CODEGEN_DIR="$CODEGEN_DIR" \
+    PARAD_BENCH_CODEGEN=1 bench/micro_interp --benchmark_filter='^$')
 fi
 
 if [[ "${DURABLE:-0}" == "1" ]]; then

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cstddef>
@@ -33,7 +34,7 @@ using ir::Op;
 
 // Bumped whenever the emitter changes what it prints for the same closure:
 // part of the artifact fingerprint, so stale on-disk objects never load.
-constexpr std::uint64_t kGeneratorVersion = 1;
+constexpr std::uint64_t kGeneratorVersion = 2;
 
 // The generated code's structs must alias the host's exactly — every frame,
 // worker and return-value pointer crosses the ABI as a reinterpret_cast.
@@ -53,6 +54,34 @@ static_assert(sizeof(parad_cg_worker) == sizeof(psim::WorkerCtx) &&
                   offsetof(parad_cg_worker, dilation) ==
                       offsetof(psim::WorkerCtx, dilation),
               "parad_cg_worker must mirror psim::WorkerCtx");
+static_assert(sizeof(parad_cg_obj) == sizeof(psim::ObjView) &&
+                  offsetof(parad_cg_obj, data) ==
+                      offsetof(psim::ObjView, data) &&
+                  offsetof(parad_cg_obj, count) ==
+                      offsetof(psim::ObjView, count) &&
+                  offsetof(parad_cg_obj, elem) ==
+                      offsetof(psim::ObjView, elem) &&
+                  offsetof(parad_cg_obj, home) ==
+                      offsetof(psim::ObjView, home),
+              "parad_cg_obj must mirror psim::ObjView");
+static_assert(sizeof(parad_cg_objs) == sizeof(psim::ObjViewTable) &&
+                  offsetof(parad_cg_objs, data) ==
+                      offsetof(psim::ObjViewTable, data) &&
+                  offsetof(parad_cg_objs, n) ==
+                      offsetof(psim::ObjViewTable, n),
+              "parad_cg_objs must mirror psim::ObjViewTable");
+static_assert(sizeof(parad_cg_memcharge) ==
+                      sizeof(psim::Machine::MemCharge) &&
+                  offsetof(parad_cg_memcharge, sharers) ==
+                      offsetof(psim::Machine::MemCharge, sharers) &&
+                  offsetof(parad_cg_memcharge, local8) ==
+                      offsetof(psim::Machine::MemCharge, local8) &&
+                  offsetof(parad_cg_memcharge, remote8) ==
+                      offsetof(psim::Machine::MemCharge, remote8),
+              "parad_cg_memcharge must mirror psim::Machine::MemCharge");
+static_assert(sizeof(int) == sizeof(std::int32_t) &&
+                  PARAD_CG_ELEM_F64 == static_cast<int>(ir::Type::F64),
+              "PARAD_CG_ELEM_F64 must be ir::Type::F64");
 
 namespace {
 
@@ -89,6 +118,74 @@ std::string hex64(std::uint64_t v) {
 // dispatch counting — so virtual clocks, values and RunStats stay
 // bit-identical. Double and i64 constants are emitted as bit patterns to
 // survive the text round-trip unchanged.
+//
+// Each range keeps the worker's clock in a local (`clk`) and the cost
+// products it charges (`kc_*` = ct[k] * dilation, the exact product
+// WorkerCtx::advance forms) in locals computed once per entry; the clock is
+// spilled to the worker before every callback, nested range and exit and
+// reloaded after the ones that return. The prelude below is the whole
+// runtime of a generated TU: it includes no headers (the compiler builtins
+// call the same libm functions <cmath> would).
+
+constexpr const char* kPrelude = R"PARAD_CG(
+static inline double pd_f64(unsigned long long b) {
+  double v; __builtin_memcpy(&v, &b, 8); return v; }
+static inline long long pd_i64(unsigned long long b) {
+  long long v; __builtin_memcpy(&v, &b, 8); return v; }
+
+/* Load/Store fast path. pd_slot serves an access to a live f64 object at
+ * an in-bounds index whose home socket's charge memo is current: it returns
+ * 1 with the payload slot and the memo's 8-byte charge, the double
+ * Machine::chargeMem advances by (times dilation). Anything it declines
+ * spills the clock and takes the host path, which charges and fails exactly
+ * like the exec engine. */
+static inline int pd_slot(parad_cg_ctx* c, parad_cg_worker* W,
+                          parad_cg_val p, long long i, double** slot,
+                          double* charge) {
+  const parad_cg_objs* t = c->objs;
+  if ((unsigned long long)p.u.p.obj >= (unsigned long long)t->n) return 0;
+  const parad_cg_obj* o = t->data + p.u.p.obj;
+  unsigned long long k = (unsigned long long)p.u.p.off + (unsigned long long)i;
+  if (k >= (unsigned long long)o->count || o->elem != PARAD_CG_ELEM_F64)
+    return 0;
+  const parad_cg_memcharge* m = c->memo + o->home;
+  if (m->sharers != c->workers[o->home]) return 0;
+  *slot = (double*)o->data + k;
+  *charge = W->socket == o->home ? m->local8 : m->remote8;
+  return 1;
+}
+__attribute__((noinline)) static double pd_ld(
+    parad_cg_ctx* c, parad_cg_worker* W, double clk, parad_cg_val* d,
+    parad_cg_val p, long long i) {
+  double *s, charge;
+  if (pd_slot(c, W, p, i, &s, &charge)) {
+    d->u.f = *s;
+    return clk + charge * W->dilation;
+  }
+  W->clock = clk;
+  c->api->load(c, d, p, i);
+  return W->clock;
+}
+__attribute__((noinline)) static double pd_st(
+    parad_cg_ctx* c, parad_cg_worker* W, double clk, parad_cg_val p,
+    long long i, parad_cg_val v) {
+  double *s, charge;
+  if (pd_slot(c, W, p, i, &s, &charge)) {
+    *s = v.u.f;
+    return clk + charge * W->dilation;
+  }
+  W->clock = clk;
+  c->api->store(c, p, i, v);
+  return W->clock;
+}
+
+)PARAD_CG";
+
+// Cost-table entries by PARAD_CG_CT_* index; the suffix names the hoisted
+// local (`kc_FLOP`, ...).
+constexpr const char* kCostNames[PARAD_CG_CT_COUNT] = {
+    "FLOP", "FDIV",   "INTOP",    "INTDIV",    "SPECIAL",
+    "POW",  "MINMAX", "LOOPITER", "WORKSHARE", "GC"};
 
 class SourceEmitter {
  public:
@@ -105,14 +202,8 @@ class SourceEmitter {
     out_ += "// parad codegen output (generator v" +
             std::to_string(kGeneratorVersion) + ") for closure @" +
             xm_.programs[0].name + " — do not edit\n";
-    out_ += "#include <cmath>\n#include <cstring>\n";
     out_ += kCodegenAbiHeader;
-    out_ +=
-        "\nstatic inline double pd_f64(unsigned long long b) {"
-        " double v; std::memcpy(&v, &b, 8); return v; }\n"
-        "static inline long long pd_i64(unsigned long long b) {"
-        " long long v; std::memcpy(&v, &b, 8); return v; }\n"
-        "#define AV(k) (W->clock += c->ct[k] * W->dilation)\n\n";
+    out_ += kPrelude;
     for (std::size_t id = 0; id < table_.size(); ++id)
       out_ += "static int r" + std::to_string(id) +
               "(parad_cg_ctx*, parad_cg_val*, parad_cg_worker*);\n";
@@ -152,15 +243,31 @@ class SourceEmitter {
     return "pd_i64(0x" + hex64(b) + "ull)";
   }
 
-  void line(const std::string& s) { out_ += "  " + s + "\n"; }
-  void av(const char* idx) {
-    out_ += "  AV(PARAD_CG_CT_";
-    out_ += idx;
-    out_ += ");\n";
+  void line(const std::string& s) { body_ += "  " + s + "\n"; }
+  void av(int k, const char* indent = "") {
+    used_[static_cast<std::size_t>(k)] = true;
+    body_ += "  ";
+    body_ += indent;
+    body_ += "clk += kc_";
+    body_ += kCostNames[k];
+    body_ += ";\n";
+  }
+  /// A host callback (or nested range) that reads or moves the clock:
+  /// spill before, reload after.
+  void viaHost(const std::string& s) {
+    std::string indent = s.substr(0, s.find_first_not_of(' '));
+    line(indent + "W->clock = clk;");
+    line(s);
+    line(indent + "clk = W->clock;");
   }
   // Flushes the range's partial dispatch count and propagates Return —
-  // exactly `rr.insts += nd; return Flow::Return;` in the exec loop.
+  // exactly `rr.insts += nd; return Flow::Return;` in the exec loop. The
+  // callee that returned 1 left the clock spilled.
   static constexpr const char* kPropagate = "{ *c->insts += nd; return 1; }";
+  // A callback that never returns (it throws the engine's error).
+  static std::string dies(const std::string& call) {
+    return "{ W->clock = clk; " + call + "; }";
+  }
 
   /// Emits a pure frame-only op (the fusable-superinstruction set plus a few
   /// more). `res` is the result slot, `o` the resolved operand slots.
@@ -169,77 +276,74 @@ class SourceEmitter {
     const std::string R = slot(res);
     auto F = [&](int i) { return slot(o[i]) + ".u.f"; };
     auto I = [&](int i) { return slot(o[i]) + ".u.i"; };
-    auto binF = [&](const char* cost, const char* sym) {
+    auto binF = [&](int cost, const char* sym) {
       av(cost);
       line(R + ".u.f = " + F(0) + " " + sym + " " + F(1) + ";");
     };
-    auto callF1 = [&](const char* cost, const char* fn) {
+    auto callF1 = [&](int cost, const char* fn) {
       av(cost);
       line(R + ".u.f = " + fn + "(" + F(0) + ");");
     };
     auto binI = [&](const char* sym) {
-      av("INTOP");
+      av(PARAD_CG_CT_INTOP);
       line(R + ".u.i = " + I(0) + " " + sym + " " + I(1) + ";");
     };
     auto cmp = [&](const std::string& a, const char* sym,
                    const std::string& b) {
-      av("INTOP");
+      av(PARAD_CG_CT_INTOP);
       line(R + ".u.i = (" + a + " " + sym + " " + b + ") ? 1 : 0;");
     };
+    auto divI = [&](const char* sym, const char* what) {
+      av(PARAD_CG_CT_INTDIV);
+      line("if (" + I(1) + " == 0) " +
+           dies(std::string("c->api->die(c, \"integer ") + what +
+                " by zero\")"));
+      line(R + ".u.i = " + I(0) + " " + sym + " " + I(1) + ";");
+    };
     switch (op) {
-      case Op::FAdd: binF("FLOP", "+"); break;
-      case Op::FSub: binF("FLOP", "-"); break;
-      case Op::FMul: binF("FLOP", "*"); break;
-      case Op::FDiv: binF("FDIV", "/"); break;
+      case Op::FAdd: binF(PARAD_CG_CT_FLOP, "+"); break;
+      case Op::FSub: binF(PARAD_CG_CT_FLOP, "-"); break;
+      case Op::FMul: binF(PARAD_CG_CT_FLOP, "*"); break;
+      case Op::FDiv: binF(PARAD_CG_CT_FDIV, "/"); break;
       case Op::FNeg:
-        av("FLOP");
+        av(PARAD_CG_CT_FLOP);
         line(R + ".u.f = -" + F(0) + ";");
         break;
-      case Op::Sqrt: callF1("SPECIAL", "std::sqrt"); break;
-      case Op::Sin: callF1("SPECIAL", "std::sin"); break;
-      case Op::Cos: callF1("SPECIAL", "std::cos"); break;
-      case Op::Exp: callF1("SPECIAL", "std::exp"); break;
-      case Op::Log: callF1("SPECIAL", "std::log"); break;
-      case Op::Cbrt: callF1("SPECIAL", "std::cbrt"); break;
+      case Op::Sqrt: callF1(PARAD_CG_CT_SPECIAL, "__builtin_sqrt"); break;
+      case Op::Sin: callF1(PARAD_CG_CT_SPECIAL, "__builtin_sin"); break;
+      case Op::Cos: callF1(PARAD_CG_CT_SPECIAL, "__builtin_cos"); break;
+      case Op::Exp: callF1(PARAD_CG_CT_SPECIAL, "__builtin_exp"); break;
+      case Op::Log: callF1(PARAD_CG_CT_SPECIAL, "__builtin_log"); break;
+      case Op::Cbrt: callF1(PARAD_CG_CT_SPECIAL, "__builtin_cbrt"); break;
       case Op::Pow:
-        av("POW");
-        line(R + ".u.f = std::pow(" + F(0) + ", " + F(1) + ");");
+        av(PARAD_CG_CT_POW);
+        line(R + ".u.f = __builtin_pow(" + F(0) + ", " + F(1) + ");");
         break;
-      case Op::FAbs: callF1("MINMAX", "std::fabs"); break;
+      case Op::FAbs: callF1(PARAD_CG_CT_MINMAX, "__builtin_fabs"); break;
       // std::min(a,b) is (b<a)?b:a and std::max(a,b) is (a<b)?b:a — spelled
       // out so NaN propagation matches the exec engine bit for bit.
       case Op::FMin:
-        av("MINMAX");
+        av(PARAD_CG_CT_MINMAX);
         line(R + ".u.f = (" + F(1) + " < " + F(0) + ") ? " + F(1) + " : " +
              F(0) + ";");
         break;
       case Op::FMax:
-        av("MINMAX");
+        av(PARAD_CG_CT_MINMAX);
         line(R + ".u.f = (" + F(0) + " < " + F(1) + ") ? " + F(1) + " : " +
              F(0) + ";");
         break;
       case Op::IAdd: binI("+"); break;
       case Op::ISub: binI("-"); break;
       case Op::IMul: binI("*"); break;
-      case Op::IDiv:
-        av("INTDIV");
-        line("if (" + I(1) +
-             " == 0) c->api->die(c, \"integer division by zero\");");
-        line(R + ".u.i = " + I(0) + " / " + I(1) + ";");
-        break;
-      case Op::IRem:
-        av("INTDIV");
-        line("if (" + I(1) +
-             " == 0) c->api->die(c, \"integer remainder by zero\");");
-        line(R + ".u.i = " + I(0) + " % " + I(1) + ";");
-        break;
+      case Op::IDiv: divI("/", "division"); break;
+      case Op::IRem: divI("%", "remainder"); break;
       case Op::IMinOp:
-        av("INTOP");
+        av(PARAD_CG_CT_INTOP);
         line(R + ".u.i = (" + I(1) + " < " + I(0) + ") ? " + I(1) + " : " +
              I(0) + ";");
         break;
       case Op::IMaxOp:
-        av("INTOP");
+        av(PARAD_CG_CT_INTOP);
         line(R + ".u.i = (" + I(0) + " < " + I(1) + ") ? " + I(1) + " : " +
              I(0) + ";");
         break;
@@ -255,31 +359,31 @@ class SourceEmitter {
       case Op::FCmpGe: cmp(F(0), ">=", F(1)); break;
       case Op::FCmpEq: cmp(F(0), "==", F(1)); break;
       case Op::BAnd:
-        av("INTOP");
+        av(PARAD_CG_CT_INTOP);
         line(R + ".u.i = (" + I(0) + " && " + I(1) + ") ? 1 : 0;");
         break;
       case Op::BOr:
-        av("INTOP");
+        av(PARAD_CG_CT_INTOP);
         line(R + ".u.i = (" + I(0) + " || " + I(1) + ") ? 1 : 0;");
         break;
       case Op::BNot:
-        av("INTOP");
+        av(PARAD_CG_CT_INTOP);
         line(R + ".u.i = (!" + I(0) + ") ? 1 : 0;");
         break;
       case Op::Select:
-        av("INTOP");
+        av(PARAD_CG_CT_INTOP);
         line(R + " = " + I(0) + " ? " + slot(o[1]) + " : " + slot(o[2]) + ";");
         break;
       case Op::IToF:
-        av("INTOP");
+        av(PARAD_CG_CT_INTOP);
         line(R + ".u.f = (double)" + I(0) + ";");
         break;
       case Op::FToI:
-        av("INTOP");
+        av(PARAD_CG_CT_INTOP);
         line(R + ".u.i = (long long)" + F(0) + ";");
         break;
       case Op::PtrOffset:
-        av("INTOP");
+        av(PARAD_CG_CT_INTOP);
         line("{ parad_cg_ptr cg_t = " + slot(o[0]) + ".u.p; cg_t.off += " +
              I(1) + "; " + R + ".u.p = cg_t; }");
         break;
@@ -299,11 +403,14 @@ class SourceEmitter {
     int nInline = std::min<int>(in.nOps, 16);
     for (int i = 0; i < nInline; ++i) opsBuf[i] = src[i];
     const std::int32_t* o = in.poolBase >= 0 ? src : opsBuf;
+    // A nested range call, always emitted through viaHost: the callee starts
+    // from the clock in the worker and leaves its own there.
     auto body = [&](std::int32_t blockId) {
       // Appended, not `"r" + ...`: GCC 12 at -O3 reports a false
       // -Wrestrict on that form, which -Werror turns into a build failure.
       std::string r = "r";
       r += std::to_string(blockRangeId(prog, blockId));
+      r += "(c, F, W)";
       return r;
     };
     auto argSlot = [&](std::int32_t blockId) {
@@ -320,20 +427,20 @@ class SourceEmitter {
         break;
 
       case Op::Load:
-        line("c->api->load(c, &" + slot(in.result) + ", " + slot(o[0]) +
-             ", " + slot(o[1]) + ".u.i);");
+        line("clk = pd_ld(c, W, clk, &" + slot(in.result) + ", " +
+             slot(o[0]) + ", " + slot(o[1]) + ".u.i);");
         break;
       case Op::Store:
-        line("c->api->store(c, " + slot(o[0]) + ", " + slot(o[1]) +
+        line("clk = pd_st(c, W, clk, " + slot(o[0]) + ", " + slot(o[1]) +
              ".u.i, " + slot(o[2]) + ");");
         break;
 
       case Op::Call: {
         if (in.trap >= 0) {
-          line("c->api->trap(c, " + std::to_string(in.trap) + ");");
+          line(dies("c->api->trap(c, " + std::to_string(in.trap) + ")"));
           break;
         }
-        out_ += "  {\n";
+        body_ += "  {\n";
         std::string argsExpr = "(const parad_cg_val*)0";
         if (in.nOps > 0) {
           std::string init;
@@ -346,62 +453,63 @@ class SourceEmitter {
           argsExpr = "cg_as";
         }
         line("  parad_cg_val cg_out;");
-        line("  c->api->call(c, &cg_out, " + std::to_string(in.callee) +
-             ", " + argsExpr + ", " + std::to_string(in.nOps) + ");");
+        viaHost("  c->api->call(c, &cg_out, " + std::to_string(in.callee) +
+                ", " + argsExpr + ", " + std::to_string(in.nOps) + ");");
         if (in.result >= 0) line("  " + slot(in.result) + " = cg_out;");
-        out_ += "  }\n";
+        body_ += "  }\n";
         break;
       }
       case Op::CallIndirect:
       case Op::OmpParallelFor:
-        line("c->api->trap(c, " + std::to_string(in.trap) + ");");
+        line(dies("c->api->trap(c, " + std::to_string(in.trap) + ")"));
         break;
 
       case Op::Return:
         if (in.nOps > 0) line("*c->ret = " + slot(o[0]) + ";");
+        line("W->clock = clk;");
         line("*c->insts += nd;");
         line("return 1;");
         break;
 
       case Op::For:
-        out_ += "  { long long cg_lo = " + slot(o[0]) +
-                ".u.i, cg_hi = " + slot(o[1]) + ".u.i;\n";
-        out_ += "  for (long long cg_i = cg_lo; cg_i < cg_hi; ++cg_i) {\n";
+        body_ += "  { long long cg_lo = " + slot(o[0]) +
+                 ".u.i, cg_hi = " + slot(o[1]) + ".u.i;\n";
+        body_ += "  for (long long cg_i = cg_lo; cg_i < cg_hi; ++cg_i) {\n";
         line("  " + slot(argSlot(in.blockA)) + ".u.i = cg_i;");
-        line("  AV(PARAD_CG_CT_LOOPITER);");
-        line("  if (" + body(in.blockA) + "(c, F, W)) " + kPropagate);
-        out_ += "  } }\n";
+        av(PARAD_CG_CT_LOOPITER, "  ");
+        viaHost("  if (" + body(in.blockA) + ") " + kPropagate);
+        body_ += "  } }\n";
         break;
       case Op::While:
-        out_ += "  { for (long long cg_it = 0;; ++cg_it) {\n";
-        line("  if (cg_it >= (1ll << 32)) c->api->die(c, \"runaway while "
-             "loop\");");
+        body_ += "  { for (long long cg_it = 0;; ++cg_it) {\n";
+        line("  if (cg_it >= (1ll << 32)) " +
+             dies("c->api->die(c, \"runaway while loop\")"));
         line("  " + slot(argSlot(in.blockA)) + ".u.i = cg_it;");
-        line("  AV(PARAD_CG_CT_LOOPITER);");
+        av(PARAD_CG_CT_LOOPITER, "  ");
         line("  *c->yield = 0;");
-        line("  if (" + body(in.blockA) + "(c, F, W)) " + kPropagate);
+        viaHost("  if (" + body(in.blockA) + ") " + kPropagate);
         line("  if (!*c->yield) break;");
-        out_ += "  } }\n";
+        body_ += "  } }\n";
         break;
       case Op::Yield:
         line("*c->yield = (" + slot(o[0]) + ".u.i != 0) ? 1 : 0;");
         break;
       case Op::If:
-        av("INTOP");
+        av(PARAD_CG_CT_INTOP);
         line("if (" + slot(o[0]) + ".u.i) {");
-        line("  if (" + body(in.blockA) + "(c, F, W)) " + kPropagate);
+        viaHost("  if (" + body(in.blockA) + ") " + kPropagate);
         if (in.blockB >= 0) {
           line("} else {");
-          line("  if (" + body(in.blockB) + "(c, F, W)) " + kPropagate);
+          viaHost("  if (" + body(in.blockB) + ") " + kPropagate);
         }
         line("}");
         break;
 
       case Op::Workshare: {
-        out_ += "  { long long cg_lo = " + slot(o[0]) +
-                ".u.i, cg_hi = " + slot(o[1]) + ".u.i;\n";
+        body_ += "  { long long cg_lo = " + slot(o[0]) +
+                 ".u.i, cg_hi = " + slot(o[1]) + ".u.i;\n";
         line("int cg_tid = c->api->tid(c), cg_n = c->api->nthreads(c);");
-        line("AV(PARAD_CG_CT_WORKSHARE);");
+        av(PARAD_CG_CT_WORKSHARE);
         line("long long cg_len = cg_hi - cg_lo;");
         line("if (cg_len > 0) {");
         line("  long long cg_chunk = (cg_len + cg_n - 1) / cg_n;");
@@ -411,16 +519,15 @@ class SourceEmitter {
         line("  for (long long cg_k = cg_b; cg_k < cg_e; ++cg_k) {");
         line(std::string("    ") + slot(argSlot(in.blockA)) + ".u.i = " +
              (in.iconst != 0 ? "cg_e - 1 - (cg_k - cg_b)" : "cg_k") + ";");
-        line("    AV(PARAD_CG_CT_LOOPITER);");
-        line("    if (" + body(in.blockA) +
-             "(c, F, W)) c->api->die(c, \"return out of a workshare "
-             "body\");");
+        av(PARAD_CG_CT_LOOPITER, "    ");
+        viaHost("    if (" + body(in.blockA) +
+                ") c->api->die(c, \"return out of a workshare body\");");
         line("  }");
         line("} }");
         break;
       }
       case Op::BarrierOp:
-        line("c->api->die(c, \"barrier outside fork segmentation\");");
+        line(dies("c->api->die(c, \"barrier outside fork segmentation\")"));
         break;
       case Op::ThreadIdOp:
         line(slot(in.result) + ".u.i = c->api->tid(c);");
@@ -435,11 +542,11 @@ class SourceEmitter {
         line(slot(in.result) + ".u.i = c->ranks;");
         break;
       case Op::GcPreserveBegin:
-        av("GC");
+        av(PARAD_CG_CT_GC);
         line(slot(in.result) + ".u.i = 0;");
         break;
       case Op::GcPreserveEnd:
-        av("GC");
+        av(PARAD_CG_CT_GC);
         break;
 
       // Machine-state instructions: executed host-side through the exec
@@ -460,8 +567,8 @@ class SourceEmitter {
       case Op::JlAllocArray:
       case Op::ParallelFor:
       case Op::Fork:
-        line("if (c->api->complex_op(c, F, " + std::to_string(prog) + ", " +
-             std::to_string(pc) + ")) " + kPropagate);
+        viaHost("if (c->api->complex_op(c, F, " + std::to_string(prog) +
+                ", " + std::to_string(pc) + ")) " + kPropagate);
         break;
 
       default: {
@@ -480,15 +587,25 @@ class SourceEmitter {
 
   void emitRange(int id, const CgRange& r) {
     const ExecProgram& p = xm_.programs[static_cast<std::size_t>(r.prog)];
+    body_.clear();
+    used_.fill(false);
+    for (std::int32_t pc = r.begin; pc < r.end; ++pc)
+      emitInst(p, r.prog, pc);
     out_ += "// prog " + std::to_string(r.prog) + " (@" + p.name +
             ") range [" + std::to_string(r.begin) + ", " +
             std::to_string(r.end) + ")\n";
     out_ += "static int r" + std::to_string(id) +
             "(parad_cg_ctx* c, parad_cg_val* F, parad_cg_worker* W) {\n";
-    out_ += "  (void)c; (void)F; (void)W;\n";
+    out_ += "  (void)c; (void)F;\n";
     out_ += "  unsigned long long nd = 0;\n";
-    for (std::int32_t pc = r.begin; pc < r.end; ++pc)
-      emitInst(p, r.prog, pc);
+    out_ += "  double clk = W->clock;\n";
+    for (int k = 0; k < PARAD_CG_CT_COUNT; ++k)
+      if (used_[static_cast<std::size_t>(k)])
+        out_ += std::string("  const double kc_") + kCostNames[k] +
+                " = c->ct[PARAD_CG_CT_" + kCostNames[k] +
+                "] * W->dilation;\n";
+    out_ += body_;
+    out_ += "  W->clock = clk;\n";
     out_ += "  *c->insts += nd + " + std::to_string(r.trailing) + "ull;\n";
     out_ += "  if (c->probe_flags) c->api->probe(c);\n";
     out_ += "  return 0;\n}\n\n";
@@ -498,6 +615,8 @@ class SourceEmitter {
   std::vector<int> progBase_;
   std::vector<CgRange> table_;
   std::string out_;
+  std::string body_;  // the range being emitted
+  std::array<bool, PARAD_CG_CT_COUNT> used_{};  // kc_* locals it needs
 };
 
 }  // namespace
@@ -620,6 +739,11 @@ class CodegenExecutor final : public Executor {
                        (machine_.watchdogTimeBound() > 0 ? 4 : 0) |
                        (machine_.cancelArmed() ? 8 : 0);
     ctx_.host = this;
+    ctx_.objs =
+        reinterpret_cast<const parad_cg_objs*>(&machine_.mem().views());
+    ctx_.memo =
+        reinterpret_cast<const parad_cg_memcharge*>(machine_.memCharges());
+    ctx_.workers = machine_.workerCounts();
   }
 
   Flow execRange(const ExecProgram& p, std::int32_t pc, std::int32_t end,
@@ -648,46 +772,20 @@ class CodegenExecutor final : public Executor {
     return p;
   }
 
-  // Each callback mirrors the corresponding exec-engine case exactly (same
-  // charge order, same bounds-check messages).
+  // The generated fast path's fallback: exec's own Load/Store, charged to
+  // the current worker (the clock was spilled before the call).
   static void cgLoad(parad_cg_ctx* c, parad_cg_val* dst, parad_cg_val ptr,
                      long long idx) {
     CodegenExecutor& e = self(c);
-    psim::RtPtr rp = toPtr(ptr);
-    psim::MemObject& o = e.machine_.mem().get(rp);
-    e.machine_.chargeMem(e.rr_->ts->w, o.homeSocket, 8);
-    i64 k = rp.off + idx;
-    PARAD_CHECK(k >= 0 && k < o.count, "access out of bounds: index ", k,
-                " of ", o.count);
-    switch (o.elem) {
-      case ir::Type::F64: dst->u.f = o.f[static_cast<std::size_t>(k)]; break;
-      case ir::Type::I64: dst->u.i = o.i[static_cast<std::size_t>(k)]; break;
-      case ir::Type::PtrF64: {
-        psim::RtPtr v = o.p[static_cast<std::size_t>(k)];
-        dst->u.p.obj = v.obj;
-        dst->u.p.off = v.off;
-        break;
-      }
-      default: PARAD_UNREACHABLE("bad load elem");
-    }
+    e.loadElem(e.rr_->ts->w, toPtr(ptr), idx,
+               *reinterpret_cast<RtVal*>(dst));
   }
   static void cgStore(parad_cg_ctx* c, parad_cg_val ptr, long long idx,
                       parad_cg_val v) {
     CodegenExecutor& e = self(c);
-    psim::RtPtr rp = toPtr(ptr);
-    psim::MemObject& o = e.machine_.mem().get(rp);
-    e.machine_.chargeMem(e.rr_->ts->w, o.homeSocket, 8);
-    i64 k = rp.off + idx;
-    PARAD_CHECK(k >= 0 && k < o.count, "access out of bounds: index ", k,
-                " of ", o.count);
-    switch (o.elem) {
-      case ir::Type::F64: o.f[static_cast<std::size_t>(k)] = v.u.f; break;
-      case ir::Type::I64: o.i[static_cast<std::size_t>(k)] = v.u.i; break;
-      case ir::Type::PtrF64:
-        o.p[static_cast<std::size_t>(k)] = toPtr(v);
-        break;
-      default: PARAD_UNREACHABLE("bad store elem");
-    }
+    RtVal rv;
+    std::memcpy(static_cast<void*>(&rv), &v, sizeof rv);
+    e.storeElem(e.rr_->ts->w, toPtr(ptr), idx, rv);
   }
   static void cgCall(parad_cg_ctx* c, parad_cg_val* out, int callee,
                      const parad_cg_val* args, int nargs) {
@@ -864,6 +962,30 @@ std::string resolveCompiler(const CodegenConfig& cfg) {
 #endif
 }
 
+/// The compile line's extra flags (config, then $PARAD_CODEGEN_FLAGS), each
+/// with a leading space.
+std::string extraFlagsOf(const CodegenConfig& cfg) {
+  std::string flags;
+  if (!cfg.extraFlags.empty()) flags += " " + cfg.extraFlags;
+  if (std::string ef = env::text("PARAD_CODEGEN_FLAGS"); !ef.empty())
+    flags += " " + ef;
+  return flags;
+}
+
+/// Extra compile flags change the object, not the closure, so they are part
+/// of the artifact's identity: a sanitizer build never loads an
+/// uninstrumented object from a shared cache directory, nor the reverse.
+/// Without extra flags the key is the closure fingerprint itself.
+std::uint64_t artifactKeyOf(const ExecModule& xm,
+                            const std::string& extraFlags) {
+  std::uint64_t fp = closureFingerprint(xm);
+  if (extraFlags.empty()) return fp;
+  hash::Fnv f;
+  f.mix(fp);
+  f.mix(extraFlags);
+  return f.h;
+}
+
 std::string firstLineOf(const std::string& path) {
   std::ifstream in(path);
   std::string line;
@@ -919,7 +1041,8 @@ std::shared_ptr<const CodegenArtifact> CodegenCache::lookup(
     const ExecModule& xm) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  std::uint64_t fp = closureFingerprint(xm);
+  std::string extraFlags = extraFlagsOf(im.cfg);
+  std::uint64_t fp = artifactKeyOf(xm, extraFlags);
   if (auto it = im.mem.find(fp); it != im.mem.end()) {
     ++im.counters.memHits;
     im.lru.splice(im.lru.begin(), im.lru, it->second.lruIt);  // touch
@@ -1009,10 +1132,8 @@ std::shared_ptr<const CodegenArtifact> CodegenCache::lookup(
   std::string tmpPath = base + ".tmp" +
                         std::to_string(static_cast<long>(::getpid())) + ".so";
   std::string logPath = base + ".log";
-  std::string flags = " -std=c++17 -O2 -fPIC -shared -ffp-contract=off";
-  if (!im.cfg.extraFlags.empty()) flags += " " + im.cfg.extraFlags;
-  if (std::string ef = env::text("PARAD_CODEGEN_FLAGS"); !ef.empty())
-    flags += " " + ef;
+  std::string flags =
+      " -std=c++17 -O2 -fPIC -shared -ffp-contract=off" + extraFlags;
   std::string cmd = shellQuote(cxx) + flags + " -o " + shellQuote(tmpPath) +
                     " " + shellQuote(srcPath) + " -lm 2> " +
                     shellQuote(logPath);
@@ -1108,6 +1229,12 @@ std::string CodegenCache::cacheDirInUse() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   return resolveCacheDir(im.cfg);
+}
+
+std::uint64_t CodegenCache::artifactKey(const ExecModule& xm) const {
+  Impl& im = impl();
+  std::lock_guard<std::mutex> lock(im.mu);
+  return artifactKeyOf(xm, extraFlagsOf(im.cfg));
 }
 
 // ---------------------------------------------------------------------------

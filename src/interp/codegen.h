@@ -7,11 +7,13 @@
 // pre-resolved callees, barrier segmentation) is already the right input for
 // code emission, so the emitter is a straight-line walk that prints each
 // range — every block and every fork segment — as one C++ function with the
-// exec engine's evaluation order and per-op clock charges inlined. Anything
-// that touches machine state beyond the frame (memory objects, fabric,
-// fork/task orchestration, kill probes, watchdogs) calls back into the host
-// through the C ABI in codegen_abi.h; the callbacks reuse the exec engine's
-// own implementations (Executor::execComplexInst, callProgram), so values,
+// exec engine's evaluation order and per-op clock charges inlined. Loads and
+// stores of f64 elements read psim's object view table in place; every
+// other access, and anything else that touches machine state beyond the
+// frame (fabric, fork/task orchestration, kill probes, watchdogs), calls
+// back into the host through the C ABI in codegen_abi.h. The callbacks reuse
+// the exec engine's own implementations (Executor::loadElem/storeElem,
+// execComplexInst, callProgram), so values,
 // gradients, RunStats and virtual clocks are bit-identical to the exec and
 // tree engines by construction. Generated code is compiled with
 // -ffp-contract=off and no -march so its FP arithmetic rounds exactly like
@@ -19,7 +21,9 @@
 //
 // Artifacts are content-addressed: the cache key is an FNV-1a fingerprint
 // over the closure's per-program structural fingerprints (the same hashes
-// ProgramCache revalidates against) plus the ABI and generator versions.
+// ProgramCache revalidates against) plus the ABI and generator versions,
+// mixed with any extra compile flags (so objects built with, say, sanitizer
+// flags are never served to a run without them, or the reverse).
 // Shared objects live under a per-user cache directory and are reused
 // across processes; a fingerprint or ABI mismatch at dlopen time discards
 // the stale artifact and recompiles. When no host compiler is available the
@@ -47,7 +51,8 @@ class ExecBackend;
 struct CodegenConfig {
   std::string compiler;    // "": $PARAD_CXX, else the build-time compiler
   std::string cacheDir;    // "": $PARAD_CODEGEN_DIR, else per-user tmp dir
-  std::string extraFlags;  // appended to the compile line ($PARAD_CODEGEN_FLAGS)
+  std::string extraFlags;  // appended to the compile line ($PARAD_CODEGEN_FLAGS
+                           // too); both are part of the artifact key
   // Byte capacities for the artifact caches; 0 = unbounded (the defaults,
   // also settable via $PARAD_CODEGEN_MEM_BYTES / $PARAD_CODEGEN_DISK_BYTES).
   // The in-process cache evicts dlopen'd artifacts least-recently-used by
@@ -113,6 +118,10 @@ class CodegenCache {
 
   /// The directory artifacts are written to under the current config.
   std::string cacheDirInUse() const;
+  /// The key an artifact for this closure is stored and validated under
+  /// (parad_cg_<16-hex key>.so): its closureFingerprint, mixed with the
+  /// current extra compile flags when there are any.
+  std::uint64_t artifactKey(const ExecModule& xm) const;
 
  private:
   CodegenCache() = default;

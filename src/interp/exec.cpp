@@ -343,7 +343,6 @@ Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
                                    std::int32_t end,
                                    std::int32_t trailingConsts, Frame& f,
                                    RankRun& rr) {
-  psim::MemoryManager& mem = machine_.mem();
   // Both are stable for the duration of this range: every nested construct
   // restores rr.ts before returning, and frames never resize mid-execution.
   psim::WorkerCtx& w = rr.ts->w;
@@ -452,38 +451,11 @@ Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
         setI(static_cast<i64>(V(0).u.f));
         break;
 
-      case Op::Load: {
-        // Single object lookup: the at*() accessors would re-run get() and
-        // the element-type check the switch below already establishes.
-        RtPtr ptr = V(0).u.p;
-        psim::MemObject& o = mem.get(ptr);
-        machine_.chargeMem(w, o.homeSocket, 8);
-        i64 k = ptr.off + V(1).u.i;
-        PARAD_CHECK(k >= 0 && k < o.count, "access out of bounds: index ", k,
-                    " of ", o.count);
-        switch (o.elem) {
-          case Type::F64: setF(o.f[static_cast<std::size_t>(k)]); break;
-          case Type::I64: setI(o.i[static_cast<std::size_t>(k)]); break;
-          case Type::PtrF64: setP(o.p[static_cast<std::size_t>(k)]); break;
-          default: PARAD_UNREACHABLE("bad load elem");
-        }
+      case Op::Load:
+        loadElem(w, V(0).u.p, V(1).u.i,
+                 F[static_cast<std::size_t>(in.result)]);
         break;
-      }
-      case Op::Store: {
-        RtPtr ptr = V(0).u.p;
-        psim::MemObject& o = mem.get(ptr);
-        machine_.chargeMem(w, o.homeSocket, 8);
-        i64 k = ptr.off + V(1).u.i;
-        PARAD_CHECK(k >= 0 && k < o.count, "access out of bounds: index ", k,
-                    " of ", o.count);
-        switch (o.elem) {
-          case Type::F64: o.f[static_cast<std::size_t>(k)] = V(2).u.f; break;
-          case Type::I64: o.i[static_cast<std::size_t>(k)] = V(2).u.i; break;
-          case Type::PtrF64: o.p[static_cast<std::size_t>(k)] = V(2).u.p; break;
-          default: PARAD_UNREACHABLE("bad store elem");
-        }
-        break;
-      }
+      case Op::Store: storeElem(w, V(0).u.p, V(1).u.i, V(2)); break;
       case Op::PtrOffset: {
         w.advance(ct_.intOp);
         RtPtr ptr = V(0).u.p;

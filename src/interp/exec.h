@@ -90,9 +90,44 @@ class Executor {
   Flow execComplexInst(const ExecProgram& p, const ExecInst& in, Frame& f,
                        RankRun& rr);
 
+  /// Load and Store: object lookup, the 8-byte memory charge, the bounds
+  /// check and the element-type switch, in that order. The dispatch loop
+  /// and the codegen backend's slow path both come here, so they charge and
+  /// fail identically. A load writes only the loaded member of `dst`.
+  void loadElem(psim::WorkerCtx& w, psim::RtPtr ptr, i64 idx, RtVal& dst) {
+    psim::MemObject& o = machine_.mem().get(ptr);
+    machine_.chargeMem(w, o.homeSocket, 8);
+    std::size_t k = checkedIndex(o, ptr.off + idx);
+    switch (o.elem) {
+      case ir::Type::F64: dst.u.f = o.f[k]; break;
+      case ir::Type::I64: dst.u.i = o.i[k]; break;
+      case ir::Type::PtrF64: dst.u.p = o.p[k]; break;
+      default: PARAD_UNREACHABLE("bad load elem");
+    }
+  }
+  void storeElem(psim::WorkerCtx& w, psim::RtPtr ptr, i64 idx,
+                 const RtVal& v) {
+    psim::MemObject& o = machine_.mem().get(ptr);
+    machine_.chargeMem(w, o.homeSocket, 8);
+    std::size_t k = checkedIndex(o, ptr.off + idx);
+    switch (o.elem) {
+      case ir::Type::F64: o.f[k] = v.u.f; break;
+      case ir::Type::I64: o.i[k] = v.u.i; break;
+      case ir::Type::PtrF64: o.p[k] = v.u.p; break;
+      default: PARAD_UNREACHABLE("bad store elem");
+    }
+  }
+
   const ExecModule& xm_;
   psim::Machine& machine_;
   psim::CostTable ct_;
+
+ private:
+  static std::size_t checkedIndex(const psim::MemObject& o, i64 k) {
+    PARAD_CHECK(k >= 0 && k < o.count, "access out of bounds: index ", k,
+                " of ", o.count);
+    return static_cast<std::size_t>(k);
+  }
 };
 
 }  // namespace parad::interp

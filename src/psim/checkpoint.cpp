@@ -286,11 +286,11 @@ void CheckpointManager::applyMemory(const Checkpoint& cp) {
   mem_.truncateObjects(cp.objects.size());
   for (std::size_t k = 0; k < cp.objects.size(); ++k) {
     const MemObject& img = cp.objects[k];
-    MemObject& o = mem_.objectAt(k);
+    const MemObject& o = mem_.objectAt(k);
     PARAD_CHECK(o.elem == img.elem && o.count == img.count,
                 "checkpoint restore: object ", k,
                 " changed shape since capture");
-    o = img;
+    mem_.restoreObject(k, img);
   }
   mem_.setLiveBytes(cp.liveBytes);
 }

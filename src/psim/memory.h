@@ -5,7 +5,9 @@
 // is known statically from the IR. Objects carry a NUMA home socket
 // (first-touch: the socket of the allocating worker) used by the cost model,
 // and flags identifying AD cache and shadow allocations for the statistics
-// the ablation benches report.
+// the ablation benches report. Beside the objects the manager keeps a flat
+// view table (ObjView) that generated code reads in place for its inline
+// f64 load/store fast path (src/interp/codegen_abi.h mirrors the layout).
 #pragma once
 
 #include <cstdint>
@@ -64,6 +66,22 @@ struct MemObject {
   i64 bytes() const { return count * 8; }
 };
 
+/// Flat view of one object for native code: payload base, element count
+/// (0 once freed, so every index fails the bounds check and takes the slow
+/// path that raises use-after-free), element type and home socket.
+struct ObjView {
+  void* data = nullptr;
+  i64 count = 0;
+  std::int32_t elem = 0;  // static_cast<int>(ir::Type)
+  std::int32_t home = 0;
+};
+/// Header of the view table. Generated code re-reads it on every access: an
+/// Alloc in the middle of a compiled range can grow, and so move, the table.
+struct ObjViewTable {
+  const ObjView* data = nullptr;
+  i64 n = 0;
+};
+
 class MemoryManager {
  public:
   explicit MemoryManager(RunStats& stats) : stats_(stats) {}
@@ -88,6 +106,8 @@ class MemoryManager {
     liveBytes_ += static_cast<std::uint64_t>(obj->bytes());
     if (liveBytes_ > stats_.peakLiveBytes) stats_.peakLiveBytes = liveBytes_;
     objects_.push_back(std::move(obj));
+    views_.push_back(viewOf(*objects_.back()));
+    syncTable();
     return RtPtr{static_cast<std::int32_t>(objects_.size() - 1), 0};
   }
 
@@ -110,6 +130,7 @@ class MemoryManager {
     o.f.clear(); o.f.shrink_to_fit();
     o.i.clear(); o.i.shrink_to_fit();
     o.p.clear(); o.p.shrink_to_fit();
+    views_[static_cast<std::size_t>(p.obj)] = viewOf(o);
   }
 
   /// Bounds-checked element accessors (f64 / i64 / ptr storage).
@@ -136,13 +157,23 @@ class MemoryManager {
   }
 
   std::size_t numObjects() const { return objects_.size(); }
+  /// The view table, kept in sync by every path below that creates, frees,
+  /// truncates or reassigns an object.
+  const ObjViewTable& views() const { return table_; }
 
   // --- Checkpoint/restart surface (src/psim/checkpoint.cpp) ---------------
   // Raw header+payload access by object index (including freed objects:
   // restore must reinstate their cleared payloads and freed flags exactly).
-  MemObject& objectAt(std::size_t idx) {
+  const MemObject& objectAt(std::size_t idx) const {
     PARAD_CHECK(idx < objects_.size(), "objectAt: bad object index ", idx);
     return *objects_[idx];
+  }
+  /// Overwrites object `idx` (header and payload) with a snapshot image.
+  void restoreObject(std::size_t idx, const MemObject& img) {
+    PARAD_CHECK(idx < objects_.size(), "restoreObject: bad object index ",
+                idx);
+    *objects_[idx] = img;
+    views_[idx] = viewOf(*objects_[idx]);
   }
   /// Drops every object allocated after the first `n` — used when rolling
   /// back to a snapshot taken before those allocations existed. Replay
@@ -150,12 +181,33 @@ class MemoryManager {
   void truncateObjects(std::size_t n) {
     PARAD_CHECK(n <= objects_.size(), "truncateObjects: growing is invalid");
     objects_.resize(n);
+    views_.resize(n);
+    syncTable();
   }
   std::uint64_t liveBytes() const { return liveBytes_; }
   void setLiveBytes(std::uint64_t b) { liveBytes_ = b; }
 
  private:
+  static ObjView viewOf(MemObject& o) {
+    ObjView v;
+    switch (o.elem) {
+      case ir::Type::F64: v.data = o.f.data(); break;
+      case ir::Type::I64: v.data = o.i.data(); break;
+      default: v.data = o.p.data(); break;
+    }
+    v.count = o.freed ? 0 : o.count;
+    v.elem = static_cast<std::int32_t>(o.elem);
+    v.home = o.homeSocket;
+    return v;
+  }
+  void syncTable() {
+    table_.data = views_.data();
+    table_.n = static_cast<i64>(views_.size());
+  }
+
   std::vector<std::unique_ptr<MemObject>> objects_;
+  std::vector<ObjView> views_;
+  ObjViewTable table_;
   RunStats& stats_;
   std::uint64_t liveBytes_ = 0;
 };

@@ -172,6 +172,18 @@ class Machine {
     return workers_[static_cast<std::size_t>(socket)];
   }
 
+  /// Folded 8-byte access charges for one home socket at a given sharer
+  /// count (-1 = stale).
+  struct MemCharge {
+    int sharers = -1;
+    double local8 = 0, remote8 = 0;
+  };
+  /// Per-socket worker counts and 8-byte charge memo, read in place by
+  /// generated code's memory fast path (src/interp/codegen_abi.h mirrors
+  /// both). Stable for the duration of a run.
+  const int* workerCounts() const { return workers_.data(); }
+  const MemCharge* memCharges() const { return memCharge_.data(); }
+
   // ---- cost charging ----
   /// One memory access of `bytes` bytes whose object is homed on homeSocket.
   /// The single-element (8-byte) case — every interpreted load/store — is
@@ -238,12 +250,6 @@ class Machine {
   void recoverFromKill(const RankKillSignal& k);
   [[noreturn]] void failKilled(const RankKillSignal& k, std::string detail);
 
-  /// Folded 8-byte access charges for one home socket at a given sharer
-  /// count (-1 = stale).
-  struct MemCharge {
-    int sharers = -1;
-    double local8 = 0, remote8 = 0;
-  };
   void foldMemCharge(MemCharge& mc, int sharers) const {
     const CostModel& c = cfg_.cost;
     double perWorker = c.socketBandwidth / (sharers > 0 ? sharers : 1);

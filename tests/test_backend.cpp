@@ -6,7 +6,9 @@
 // backends, and the codegen artifact cache life cycle — compile-once /
 // memory-hit / disk-reuse-across-processes (simulated via clear()),
 // corrupt- and stale-artifact invalidation, fingerprint revalidation after a
-// pass mutates IR in place, and the graceful no-compiler fallback to exec.
+// pass mutates IR in place, and the graceful no-compiler fallback to exec —
+// plus every exit of generated code's inline f64 load/store path, each
+// compared bit for bit against exec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -113,11 +116,12 @@ std::string hex64(std::uint64_t v) {
 }
 
 /// On-disk artifact path the cache uses for this closure (content-addressed
-/// naming contract: parad_cg_<16-hex fingerprint>.so under the cache dir).
+/// naming contract: parad_cg_<16-hex key>.so under the cache dir).
 std::string artifactPath(const ir::Module& mod) {
   auto xm = interp::compileClosure(mod, mod.get("f"));
-  return interp::CodegenCache::global().cacheDirInUse() + "/parad_cg_" +
-         hex64(interp::closureFingerprint(*xm)) + ".so";
+  auto& cache = interp::CodegenCache::global();
+  return cache.cacheDirInUse() + "/parad_cg_" +
+         hex64(cache.artifactKey(*xm)) + ".so";
 }
 
 // ---------------------------------------------------------------------------
@@ -301,9 +305,10 @@ TEST(Codegen, EmitClosureSourceIsSelfContained) {
   EXPECT_NE(src.find("parad_cg_fp"), std::string::npos);
   EXPECT_NE(src.find("parad_cg_range"), std::string::npos);
   EXPECT_NE(src.find("pd_f64"), std::string::npos);
-  // No host headers beyond the freestanding-ish prelude: the TU must compile
-  // without the parad source tree on the include path.
+  // No headers at all: the TU needs neither the parad source tree nor the
+  // standard library's headers on the include path.
   EXPECT_EQ(src.find("#include \""), std::string::npos);
+  EXPECT_EQ(src.find("#include <"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -518,6 +523,44 @@ TEST(Codegen, DiskCapSweepsOldestArtifacts) {
   EXPECT_EQ(cache.counters().compiles, c1.compiles + 1);
 }
 
+TEST(Codegen, ExtraFlagsArePartOfTheArtifactKey) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  auto& cache = interp::CodegenCache::global();
+  ir::Module mod = arithModule(51.5);
+  double want = runWith(mod, "exec");
+  EXPECT_EQ(runWith(mod, "codegen"), want);
+  std::uint64_t compiles = cache.counters().compiles;
+  auto soCount = [&] {
+    int n = 0;
+    for (const auto& e : std::filesystem::directory_iterator(sandbox.dir))
+      n += e.path().extension() == ".so" ? 1 : 0;
+    return n;
+  };
+  ASSERT_EQ(soCount(), 1);
+  std::string plain = artifactPath(mod);
+
+  // The same closure under extra flags is a different object: compiled
+  // again, beside the first, never served from it.
+  interp::CodegenConfig cfg = cache.config();
+  cfg.extraFlags = "-DPARAD_CG_FLAG_PROBE=1";
+  cache.setConfig(cfg);
+  EXPECT_EQ(runWith(mod, "codegen"), want);
+  EXPECT_EQ(cache.counters().compiles, compiles + 1);
+  EXPECT_EQ(soCount(), 2);
+  EXPECT_NE(artifactPath(mod), plain);
+  EXPECT_TRUE(std::filesystem::exists(artifactPath(mod)));
+  EXPECT_TRUE(std::filesystem::exists(plain));
+
+  // Back to no extra flags: the first object serves again.
+  cfg.extraFlags.clear();
+  cache.setConfig(cfg);
+  auto hits = cache.counters().memHits;
+  EXPECT_EQ(runWith(mod, "codegen"), want);
+  EXPECT_EQ(cache.counters().compiles, compiles + 1);
+  EXPECT_EQ(cache.counters().memHits, hits + 1);
+}
+
 TEST(Codegen, ByteCapKnobsRejectUnitSuffixes) {
   if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   for (const char* knob :
@@ -534,6 +577,263 @@ TEST(Codegen, ByteCapKnobsRejectUnitSuffixes) {
     EXPECT_NE(msg.find(std::string(knob) + "='64MB'"), std::string::npos)
         << knob << ": " << msg;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Codegen memory fast path. Generated code serves an in-bounds access to a
+// live f64 object with a current charge memo inline and sends every other
+// access through the host callback; each case below drives one of those
+// exits and checks values, virtual time and dispatch counts bit for bit
+// against exec (or, for a fault, the same error text).
+
+/// One run's observable outcome: the entry's result, every rank's x buffer,
+/// the makespan and the machine's counters — or the error text.
+struct Outcome {
+  double ret = 0;
+  std::vector<std::vector<double>> x;
+  double makespan = 0;
+  std::uint64_t insts = 0;
+  std::uint64_t restores = 0;
+  std::string error;
+};
+
+struct RunSpec {
+  psim::Machine::Launch launch{1, 1};
+  int home = 0;  // home socket of every rank's x buffer
+  psim::MachineConfig mc;
+};
+
+/// Runs f(x, 5) on every rank of `spec.launch`, rank r's x being kInput + r.
+Outcome runKernel(const ir::Module& mod, std::string_view engine,
+                  const RunSpec& spec) {
+  psim::Machine m(spec.mc);
+  const i64 n = static_cast<i64>(kInput.size());
+  std::vector<psim::RtPtr> xs;
+  for (int r = 0; r < spec.launch.ranks; ++r) {
+    xs.push_back(m.mem().alloc(Type::F64, n, spec.home));
+    for (i64 k = 0; k < n; ++k)
+      m.mem().atF(xs.back(), k) = kInput[static_cast<std::size_t>(k)] + r;
+  }
+  Outcome o;
+  try {
+    o.makespan = m.run(spec.launch, [&](psim::RankEnv& env) {
+      interp::Interpreter it(mod, m, engine);
+      interp::RtVal v = it.run(
+          mod.get("f"),
+          {interp::RtVal::P(xs[static_cast<std::size_t>(env.rank)]),
+           interp::RtVal::I(n)},
+          env);
+      if (env.rank == 0) o.ret = v.u.f;
+    });
+  } catch (const Error& e) {
+    o.error = e.what();
+    return o;
+  }
+  for (psim::RtPtr p : xs) o.x.push_back(test::readF64(m, p, n));
+  o.insts = m.stats().instsExecuted;
+  o.restores = m.stats().restores;
+  return o;
+}
+
+/// Runs `mod` on exec and on generated code (which must not fall back) and
+/// expects identical outcomes; returns exec's.
+Outcome expectCodegenMatchesExec(const ir::Module& mod,
+                                 const RunSpec& spec = {}) {
+  Outcome want = runKernel(mod, "exec", spec);
+  auto& cache = interp::CodegenCache::global();
+  std::uint64_t fallbacks = cache.counters().fallbacks;
+  Outcome got = runKernel(mod, "codegen", spec);
+  EXPECT_EQ(cache.counters().fallbacks, fallbacks) << cache.remarksDump();
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_EQ(got.ret, want.ret);
+  EXPECT_EQ(got.x, want.x);
+  EXPECT_EQ(got.makespan, want.makespan);
+  EXPECT_EQ(got.insts, want.insts);
+  EXPECT_EQ(got.restores, want.restores);
+  return want;
+}
+
+/// f(x: ptr<f64>, n) -> f64 with the body supplied by the test.
+ir::Module kernel(
+    const std::function<Value(ir::FunctionBuilder&, Value, Value)>& body) {
+  ir::Module mod;
+  ir::FunctionBuilder b(mod, "f", {Type::PtrF64, Type::I64}, Type::F64);
+  b.ret(body(b, b.param(0), b.param(1)));
+  b.finish();
+  return mod;
+}
+
+TEST(Codegen, FastPathFaultsRaiseExecErrors) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  auto useAfterFree = [](bool store) {
+    return kernel([store](ir::FunctionBuilder& b, Value x, Value n) {
+      auto t = b.alloc(n, Type::F64);
+      b.store(t, b.constI(0), b.load(x, b.constI(0)));
+      b.free_(t);
+      if (store) b.store(t, b.constI(0), b.constF(1.0));
+      return b.load(t, b.constI(0));
+    });
+  };
+  auto at = [](std::int64_t off, std::int64_t idx, bool store) {
+    return kernel([=](ir::FunctionBuilder& b, Value x, Value n) {
+      (void)n;
+      auto p = b.ptrOffset(x, b.constI(off));
+      if (store) b.store(p, b.constI(idx), b.constF(2.0));
+      return b.load(p, b.constI(idx));
+    });
+  };
+  struct Case {
+    const char* name;
+    ir::Module mod;
+    const char* error;  // expected substring; nullptr: no error
+  };
+  Case cases[] = {
+      {"load after free", useAfterFree(false), "use after free"},
+      {"store after free", useAfterFree(true), "use after free"},
+      {"load past the end", at(0, 5, false), "index 5 of 5"},
+      {"store past the end", at(0, 5, true), "index 5 of 5"},
+      {"negative load", at(0, -1, false), "index -1 of 5"},
+      {"negative store", at(0, -1, true), "index -1 of 5"},
+      {"negative offset, past the end", at(-3, 8, false), "index 5 of 5"},
+      {"negative offset, in bounds", at(-3, 7, true), nullptr},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Outcome o = expectCodegenMatchesExec(c.mod);
+    if (c.error == nullptr)
+      EXPECT_EQ(o.error, "");
+    else
+      EXPECT_NE(o.error.find(c.error), std::string::npos) << o.error;
+  }
+}
+
+TEST(Codegen, I64AndPointerElementsMatchExec) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  ir::Module mod = kernel([](ir::FunctionBuilder& b, Value x, Value n) {
+    auto iv = b.alloc(n, Type::I64);
+    auto pv = b.alloc(b.constI(1), Type::PtrF64);
+    auto acc = b.alloc(b.constI(1), Type::F64);
+    b.store(acc, b.constI(0), b.constF(0));
+    b.store(pv, b.constI(0), x);
+    b.emitFor(b.constI(0), n, [&](Value i) {
+      b.store(iv, i, b.imul(i, b.constI(3)));
+    });
+    b.emitFor(b.constI(0), n, [&](Value i) {
+      auto y = b.load(pv, b.constI(0));
+      auto v = b.fmul(b.load(y, i), b.itof(b.load(iv, i)));
+      b.store(y, i, v);
+      b.store(acc, b.constI(0), b.fadd(b.load(acc, b.constI(0)), v));
+    });
+    return b.load(acc, b.constI(0));
+  });
+  Outcome o = expectCodegenMatchesExec(mod);
+  EXPECT_EQ(o.error, "");
+  EXPECT_EQ(o.x[0][1], kInput[1] * 3);
+}
+
+TEST(Codegen, RemoteHomedObjectMatchesExec) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  ir::Module mod = arithModule(61.5);
+  RunSpec remote;
+  remote.home = 1;  // the only worker runs on socket 0
+  Outcome far = expectCodegenMatchesExec(mod, remote);
+  Outcome near = expectCodegenMatchesExec(mod);
+  EXPECT_EQ(far.ret, near.ret);
+  EXPECT_GT(far.makespan, near.makespan);  // remote latency was charged
+}
+
+TEST(Codegen, ForkSharerChangeRefoldsChargeMemo) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  // 64 threads over both sockets: entering the fork raises each socket's
+  // sharer count from 0 or 1 to 32 (a lower per-worker bandwidth, so a new
+  // 8-byte charge), leaving it restores the count; the memo is refolded on
+  // the first access after each change. The loads before, inside and after
+  // the fork share ranges with ones that hit the fast path.
+  ir::Module mod = kernel([](ir::FunctionBuilder& b, Value x, Value n) {
+    const i64 len = 128;
+    auto t = b.alloc(b.constI(len), Type::F64);  // homed on socket 0
+    auto s = b.load(x, b.constI(0));
+    b.store(t, b.constI(0), s);
+    b.emitFork(b.constI(64), [&](Value) {
+      b.emitWorkshare(b.constI(0), b.constI(len), [&](Value i) {
+        auto xi = b.load(x, b.irem(i, n));
+        b.store(t, i, b.fadd(b.fmul(xi, b.itof(i)), s));
+      });
+    });
+    auto r = b.fadd(b.load(t, b.constI(len - 1)), b.load(x, b.constI(1)));
+    b.store(x, b.constI(2), r);
+    return b.fadd(r, b.load(t, b.constI(40)));
+  });
+  for (int home : {0, 1}) {
+    SCOPED_TRACE(home);
+    RunSpec spec;
+    spec.launch = {1, 64};
+    spec.home = home;
+    EXPECT_EQ(expectCodegenMatchesExec(mod, spec).error, "");
+  }
+}
+
+TEST(Codegen, AllocMidRangeGrowsViewTable) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  // Every iteration allocates and then, in the same range, loads from x and
+  // from the new object: the view table grows (and moves) under the
+  // generated code many times.
+  ir::Module mod = kernel([](ir::FunctionBuilder& b, Value x, Value n) {
+    auto acc = b.alloc(b.constI(1), Type::F64);
+    b.store(acc, b.constI(0), b.constF(0));
+    b.emitFor(b.constI(0), b.constI(200), [&](Value r) {
+      auto t = b.alloc(n, Type::F64);
+      b.store(t, b.irem(r, n), b.fadd(b.load(x, b.irem(r, n)), b.itof(r)));
+      auto v = b.load(t, b.irem(r, n));
+      b.store(acc, b.constI(0), b.fadd(b.load(acc, b.constI(0)), v));
+    });
+    return b.load(acc, b.constI(0));
+  });
+  EXPECT_EQ(expectCodegenMatchesExec(mod).error, "");
+}
+
+TEST(Codegen, KillReplayResyncsViewTable) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  // Each round allocates a scratch object, computes through it, frees it and
+  // ends in a barrier (a checkpoint boundary). A rank kill rolls memory back
+  // to the last checkpoint — dropping later objects and reinstating freed
+  // ones — and the replay re-allocates the same ids, so generated code only
+  // stays correct if the view table follows every restore.
+  ir::Module mod = kernel([](ir::FunctionBuilder& b, Value x, Value n) {
+    b.emitFor(b.constI(0), b.constI(8), [&](Value round) {
+      auto t = b.alloc(n, Type::F64);
+      b.emitFor(b.constI(0), n, [&](Value i) {
+        b.store(t, i, b.fadd(b.fmul(b.load(x, i), b.constF(1.5)),
+                             b.itof(round)));
+      });
+      b.emitFor(b.constI(0), n, [&](Value i) {
+        b.store(x, i, b.fmul(b.load(t, i), b.constF(0.5)));
+      });
+      b.free_(t);
+      b.mpBarrier();
+    });
+    return b.load(x, b.constI(0));
+  });
+  RunSpec spec;
+  spec.launch = {4, 1};
+  spec.mc.faults.enabled = true;  // also keeps a PARAD_FAULTS spec out
+  spec.mc.faults.seed = 21;
+  spec.mc.faults.ckptInterval = 1;
+  Outcome clean = expectCodegenMatchesExec(mod, spec);
+  ASSERT_EQ(clean.error, "");
+  spec.mc.faults.killRate = 0.6;
+  spec.mc.faults.killNs = clean.makespan * 0.5;
+  spec.mc.faults.retryBudget = 64;
+  Outcome faulty = expectCodegenMatchesExec(mod, spec);
+  ASSERT_EQ(faulty.error, "");
+  EXPECT_GT(faulty.restores, 0u);
+  EXPECT_EQ(faulty.x, clean.x);
 }
 
 TEST(Codegen, FallsBackToExecWithoutCompiler) {

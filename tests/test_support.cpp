@@ -63,7 +63,7 @@ TEST(Support, HashGoldens) {
   b.finish();
   EXPECT_EQ(interp::fingerprint(mod.get("f")), 0x5656c86a4360d782ull);
   auto xm = interp::compileClosure(mod, mod.get("f"));
-  EXPECT_EQ(interp::closureFingerprint(*xm), 0x2290874920905101ull);
+  EXPECT_EQ(interp::closureFingerprint(*xm), 0xc1190ff59f865de1ull);
 }
 
 TEST(Support, FaultDrawGoldens) {
