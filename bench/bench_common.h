@@ -1,9 +1,11 @@
 // Shared helpers for the figure/table reproduction harnesses.
 //
-// Times reported are *virtual* nanoseconds from the psim machine model
-// (DESIGN.md §2): the host has one physical core, so parallel scaling is
-// modeled, not measured. Shapes — speedups, crossovers, overhead bands —
-// are the reproduction target, not absolute times.
+// The figure and table harnesses report *virtual* nanoseconds from the psim
+// machine model (DESIGN.md §2): parallel scaling is modeled, not measured.
+// Shapes — speedups, crossovers, overhead bands — are the reproduction
+// target, not absolute times. The micro benches that time the
+// implementation itself (micro_interp, micro_scale, serve_throughput)
+// report host wall time and say so in their header.
 #pragma once
 
 #include <cmath>
@@ -19,11 +21,20 @@
 
 namespace parad::bench {
 
-inline void header(const char* id, const char* what, const char* expect) {
+/// What a bench's times measure: the psim machine model's virtual clock (the
+/// figure and table harnesses), or the host's wall clock (the micro benches
+/// that time the implementation itself).
+enum class Clock { Virtual, Wall };
+
+inline void header(const char* id, const char* what, const char* expect,
+                   Clock clock = Clock::Virtual) {
   std::printf("==================================================================\n");
   std::printf("%s: %s\n", id, what);
   std::printf("paper shape to reproduce: %s\n", expect);
-  std::printf("(times are virtual ns on the modeled 2x32-core machine)\n");
+  if (clock == Clock::Virtual)
+    std::printf("(times are virtual ns on the modeled 2x32-core machine)\n");
+  else
+    std::printf("(times are host wall time)\n");
   std::printf("==================================================================\n");
 }
 

@@ -8,7 +8,10 @@
 //
 // The codegen lane is opt-in (PARAD_BENCH_CODEGEN=1): it invokes the host
 // compiler at warm-up, and keeping it out of the default run leaves
-// BENCH_micro_interp.json byte-identical for existing consumers.
+// BENCH_micro_interp.json byte-identical for existing consumers. Besides the
+// three dispatch kernels it runs the end-to-end check beside them: the
+// LULESH OpenMP gradient on exec and on codegen, in gradients per second,
+// with codegen's one-time compile reported separately.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,11 +20,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/interp/codegen.h"
 #include "src/interp/interp.h"
 #include "src/ir/builder.h"
 #include "src/psim/sim.h"
@@ -183,6 +188,85 @@ std::vector<Throughput> measure(const ir::Module& mod, i64 len,
   return out;
 }
 
+/// The end-to-end row: the paper's main app, LULESH OpenMP (s = 8, 10 steps,
+/// 64 threads), as one reverse-mode gradient per run.
+struct LuleshRow {
+  double execGradsPerSec = 0, codegenGradsPerSec = 0;
+  double compileS = 0;     // codegen's one-time host compile
+  bool compiled = false;   // false: no usable host compiler
+  bool identical = false;  // same gradient, virtual time and dispatch count
+};
+
+LuleshRow measureLulesh() {
+  namespace lulesh = apps::lulesh;
+  lulesh::Config cfg;
+  cfg.par = lulesh::Config::Par::Omp;
+  cfg.s = 8;
+  cfg.nsteps = 10;
+  ir::Module mod = lulesh::build(cfg);
+  lulesh::prepare(mod);
+  core::GradInfo gi = lulesh::buildGradient(mod);
+  LuleshRow row;
+
+  // Compile into a fresh directory, so a warm artifact cache cannot hide
+  // the compile time.
+  auto& cache = interp::CodegenCache::global();
+  interp::CodegenConfig saved = cache.config();
+  interp::CodegenConfig fresh = saved;
+  std::string tmpl =
+      (std::filesystem::temp_directory_path() / "parad_micro_XXXXXX").string();
+  std::vector<char> dir(tmpl.begin(), tmpl.end());
+  dir.push_back('\0');
+  if (::mkdtemp(dir.data()) == nullptr) return row;
+  fresh.cacheDir = dir.data();
+  cache.setConfig(fresh);
+  cache.clear();
+  auto t0 = std::chrono::steady_clock::now();
+  row.compiled =
+      cache.lookup(*interp::compileClosure(mod, mod.get(gi.name))) != nullptr;
+  row.compileS = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+
+  std::string savedEngine = interp::defaultEngine();
+  auto gradient = [&](const char* engine) {
+    interp::setDefaultEngine(engine);
+    return lulesh::runGradient(mod, gi, cfg, 64);
+  };
+  if (row.compiled) {
+    lulesh::RunResult a = gradient("exec"), b = gradient("codegen");
+    row.identical = a.makespan == b.makespan && a.gradE == b.gradE &&
+                    a.gradU == b.gradU &&
+                    a.stats.instsExecuted == b.stats.instsExecuted;
+    // Alternating windows, best of each, as in measure().
+    constexpr int kWindows = 4;
+    constexpr double kWindowS = 0.5;
+    for (int r = 0; r < kWindows; ++r)
+      for (const char* engine : {"exec", "codegen"}) {
+        auto w0 = std::chrono::steady_clock::now();
+        int n = 0;
+        double elapsed = 0;
+        while (elapsed < kWindowS) {
+          gradient(engine);
+          ++n;
+          elapsed = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - w0)
+                        .count();
+        }
+        double& best = std::strcmp(engine, "exec") == 0
+                           ? row.execGradsPerSec
+                           : row.codegenGradsPerSec;
+        best = std::max(best, n / elapsed);
+      }
+  }
+  interp::setDefaultEngine(savedEngine);
+  cache.setConfig(saved);
+  cache.clear();
+  std::error_code ec;
+  std::filesystem::remove_all(dir.data(), ec);
+  return row;
+}
+
 void BM_DispatchLowered(benchmark::State& state) {
   ir::Module mod = scalarLoopModule();
   psim::Machine m;
@@ -241,7 +325,8 @@ int main(int argc, char** argv) {
 
   parad::bench::header(
       "micro_interp", "wall-time dispatch throughput, lowered vs tree-walker",
-      "lowered executor >= 2x tree-walker instructions/second");
+      "lowered executor >= 2x tree-walker instructions/second",
+      parad::bench::Clock::Wall);
   if (withCodegen)
     std::printf(
         "codegen lane enabled (PARAD_BENCH_CODEGEN=1); codegen criteria: "
@@ -314,8 +399,29 @@ int main(int argc, char** argv) {
   json.row("geomean");
   json.num("speedup", geomean);
   json.num("dispatch_speedup", dispatchSpeedup);
-  if (withCodegen)
+  bool identical = true;
+  if (withCodegen) {
     json.num("codegen_dispatch_speedup", codegenDispatchSpeedup);
+    LuleshRow l = measureLulesh();
+    if (!l.compiled) {
+      std::printf("lulesh_omp_grad skipped: codegen fell back to exec\n");
+    } else {
+      std::printf(
+          "lulesh_omp_grad exec %6.2f grads/s   codegen %6.2f grads/s   "
+          "vs exec %.2fx   codegen compile %.3f s   identical: %s\n",
+          l.execGradsPerSec, l.codegenGradsPerSec,
+          l.codegenGradsPerSec / l.execGradsPerSec, l.compileS,
+          l.identical ? "yes" : "NO");
+      json.row("lulesh_omp_grad");
+      json.num("exec_grads_per_sec", l.execGradsPerSec);
+      json.num("codegen_grads_per_sec", l.codegenGradsPerSec);
+      json.num("codegen_speedup_vs_exec",
+               l.codegenGradsPerSec / l.execGradsPerSec);
+      json.num("codegen_compile_s", l.compileS);
+      json.num("identical", l.identical ? 1 : 0);
+      identical = l.identical;
+    }
+  }
   json.write();
-  return 0;
+  return identical ? 0 : 1;  // engines must agree bit for bit
 }

@@ -124,7 +124,8 @@ int main(int argc, char** argv) {
       "micro_scale",
       "weak-scaling sweep of the fabric/scheduler core, 64 -> 4096 ranks",
       "near-flat per-rank state; wall time per step fits O(n log n), "
-      "far from quadratic");
+      "far from quadratic",
+      parad::bench::Clock::Wall);
 
   std::vector<int> sweep = {64, 256, 1024, 4096};
   parad::bench::BenchJson json("micro_scale");

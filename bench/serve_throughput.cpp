@@ -9,7 +9,7 @@
 //
 // Unlike the figure benches, the latency/throughput numbers here are HOST
 // time (steady_clock): the claim under test is about the serving pipeline's
-// real overheads (per-run VM setup, carrier threads, cache lookups), which
+// real overheads (per-run VM setup, rank fibers, cache lookups), which
 // batching amortizes — virtual time is identical either way, by construction.
 //
 // PARAD_SERVE_SMOKE=1 shrinks the request counts for CI lanes and skips the
@@ -365,7 +365,8 @@ int main(int argc, char** argv) {
       "serve_throughput",
       "multi-tenant gradient serving: batched pipeline vs one-job-per-call",
       "batched >= 2x naive requests/sec on the hot mix at 8 client threads; "
-      "faulted jobs fail alone, batch-mates unaffected");
+      "faulted jobs fail alone, batch-mates unaffected",
+      bench::Clock::Wall);
 
   bench::BenchJson json("serve_throughput");
 

@@ -7,13 +7,16 @@
 // pre-resolved callees, barrier segmentation) is already the right input for
 // code emission, so the emitter is a straight-line walk that prints each
 // range — every block and every fork segment — as one C++ function with the
-// exec engine's evaluation order and per-op clock charges inlined. Loads and
-// stores of f64 elements read psim's object view table in place; every
-// other access, and anything else that touches machine state beyond the
-// frame (fabric, fork/task orchestration, kill probes, watchdogs), calls
-// back into the host through the C ABI in codegen_abi.h. The callbacks reuse
-// the exec engine's own implementations (Executor::loadElem/storeElem,
-// execComplexInst, callProgram), so values,
+// exec engine's evaluation order and per-op clock charges inlined. A range
+// keeps in C locals the values only it defines and reads, resolves each
+// pointer's row of psim's object view table once (and again after every
+// callback) so a Load or Store of an f64 element is a bounds compare and a
+// payload access, and calls callees with small frames directly, their
+// frames on the native stack. Every other access, and anything else that
+// touches machine state beyond the frame (fabric, fork/task orchestration,
+// kill probes, watchdogs), calls back into the host through the C ABI in
+// codegen_abi.h. The callbacks reuse the exec engine's own implementations
+// (Executor::loadElem/storeElem, execComplexInst, callProgram), so values,
 // gradients, RunStats and virtual clocks are bit-identical to the exec and
 // tree engines by construction. Generated code is compiled with
 // -ffp-contract=off and no -march so its FP arithmetic rounds exactly like

@@ -44,7 +44,7 @@ RtVal Executor::run(std::vector<RtVal> args, psim::RankEnv& env) {
     f[static_cast<std::size_t>(entry.paramSlots[i])] = args[i];
   initConsts(entry, f);
   beginRun(rr);
-  execBlock(entry, entry.entryBlock, f, rr);
+  execBlock(entry, entry.entryBlock, f.data(), rr);
   env.main = main.w;
   machine_.stats().instsExecuted += rr.insts;
   return rr.retVal;
@@ -68,7 +68,7 @@ RtVal Executor::callProgram(const ExecProgram& callee, const RtVal* args,
   initConsts(callee, f);
   RtVal savedRet = rr.retVal;
   rr.retVal = RtVal{};
-  execBlock(callee, callee.entryBlock, f, rr);
+  execBlock(callee, callee.entryBlock, f.data(), rr);
   RtVal out = rr.retVal;
   rr.retVal = savedRet;
   --rr.callDepth;
@@ -77,10 +77,10 @@ RtVal Executor::callProgram(const ExecProgram& callee, const RtVal* args,
 }
 
 Executor::Flow Executor::execFork(const ExecProgram& p, const ExecInst& in,
-                                  Frame& f, RankRun& rr) {
+                                  RtVal* F, RankRun& rr) {
   psim::RankEnv& env = *rr.env;
   const psim::CostModel& c = machine_.config().cost;
-  i64 nReq = f[static_cast<std::size_t>(in.a[0])].u.i;
+  i64 nReq = F[in.a[0]].u.i;
   int n = nReq > 0 ? static_cast<int>(nReq) : env.threadsPerRank;
   const ExecBlock& body = p.blocks[static_cast<std::size_t>(in.blockA)];
   int tidArg = body.arg;
@@ -107,39 +107,19 @@ Executor::Flow Executor::execFork(const ExecProgram& p, const ExecInst& in,
     machine_.addWorkers(ts.w.socket, 1);
   }
 
-  // Per-thread private storage for values defined inside the fork body (they
-  // must survive across barrier-delimited segments per thread). The value
-  // set was precomputed at lowering time into the program's pool.
+  // Per-thread private storage for the values a thread reads across a
+  // barrier (precomputed at lowering time into the program's pool).
   const std::int32_t* priv = p.pool.data() + in.privBase;
   std::size_t nPriv = static_cast<std::size_t>(in.privCount);
   std::vector<std::vector<RtVal>> store(static_cast<std::size_t>(n),
                                         std::vector<RtVal>(nPriv));
-  // Privatized slots that hold folded constants start with the constant value
-  // (the tree-walker re-executes the constant inside each thread's segment;
-  // here it must already be present when the segment's frame is restored).
-  const std::int32_t* fix = p.pool.data() + in.privFixBase;
-  for (std::int32_t j = 0; j < in.privFixCount; ++j) {
-    std::size_t k = static_cast<std::size_t>(fix[2 * j]);
-    const ConstInit& ci =
-        p.constInits[static_cast<std::size_t>(fix[2 * j + 1])];
-    for (int t = 0; t < n; ++t) {
-      RtVal& v = store[static_cast<std::size_t>(t)][k];
-      if (ci.isF)
-        v.u.f = ci.f;
-      else
-        v.u.i = ci.i;
-    }
-  }
-
   auto saveTo = [&](int t) {
     auto& s = store[static_cast<std::size_t>(t)];
-    for (std::size_t k = 0; k < nPriv; ++k)
-      s[k] = f[static_cast<std::size_t>(priv[k])];
+    for (std::size_t k = 0; k < nPriv; ++k) s[k] = F[priv[k]];
   };
   auto restoreFrom = [&](int t) {
     auto& s = store[static_cast<std::size_t>(t)];
-    for (std::size_t k = 0; k < nPriv; ++k)
-      f[static_cast<std::size_t>(priv[k])] = s[k];
+    for (std::size_t k = 0; k < nPriv; ++k) F[priv[k]] = s[k];
   };
 
   // Execute the pre-split barrier segments, thread by thread per segment.
@@ -149,9 +129,9 @@ Executor::Flow Executor::execFork(const ExecProgram& p, const ExecInst& in,
     for (int t = 0; t < n; ++t) {
       ThreadState& ts = threads[static_cast<std::size_t>(t)];
       restoreFrom(t);
-      f[static_cast<std::size_t>(tidArg)] = RtVal::I(t);
+      F[tidArg] = RtVal::I(t);
       rr.ts = &ts;
-      Flow fl = execRange(p, seg.begin, seg.end, seg.trailingConsts, f, rr);
+      Flow fl = execRange(p, seg.begin, seg.end, seg.trailingConsts, F, rr);
       PARAD_CHECK(fl == Flow::Normal, "return out of a fork body");
       saveTo(t);
     }
@@ -178,12 +158,12 @@ Executor::Flow Executor::execFork(const ExecProgram& p, const ExecInst& in,
 }
 
 Executor::Flow Executor::execParallelFor(const ExecProgram& p,
-                                         const ExecInst& in, Frame& f,
+                                         const ExecInst& in, RtVal* F,
                                          RankRun& rr) {
   psim::RankEnv& env = *rr.env;
   const psim::CostModel& c = machine_.config().cost;
-  i64 lo = f[static_cast<std::size_t>(in.a[0])].u.i;
-  i64 hi = f[static_cast<std::size_t>(in.a[1])].u.i;
+  i64 lo = F[in.a[0]].u.i;
+  i64 hi = F[in.a[1]].u.i;
   const ExecBlock& body = p.blocks[static_cast<std::size_t>(in.blockA)];
   int ivArg = body.arg;
   if (hi <= lo) return Flow::Normal;
@@ -193,9 +173,9 @@ Executor::Flow Executor::execParallelFor(const ExecProgram& p,
   int n = parent->nthreads > 1 ? 1 : env.threadsPerRank;
   if (n == 1) {
     for (i64 i = lo; i < hi; ++i) {
-      f[static_cast<std::size_t>(ivArg)] = RtVal::I(i);
+      F[ivArg] = RtVal::I(i);
       parent->w.advance(ct_.loopIter);
-      Flow fl = execRange(p, body.begin, body.end, body.trailingConsts, f, rr);
+      Flow fl = execRange(p, body.begin, body.end, body.trailingConsts, F, rr);
       PARAD_CHECK(fl == Flow::Normal, "return out of a parallel loop body");
     }
     return Flow::Normal;
@@ -224,9 +204,9 @@ Executor::Flow Executor::execParallelFor(const ExecProgram& p,
     machine_.addWorkers(ts.w.socket, 1);
     rr.ts = &ts;
     for (i64 i = begin; i < end; ++i) {
-      f[static_cast<std::size_t>(ivArg)] = RtVal::I(i);
+      F[ivArg] = RtVal::I(i);
       ts.w.advance(ct_.loopIter);
-      Flow fl = execRange(p, body.begin, body.end, body.trailingConsts, f, rr);
+      Flow fl = execRange(p, body.begin, body.end, body.trailingConsts, F, rr);
       PARAD_CHECK(fl == Flow::Normal, "return out of a parallel loop body");
     }
     machine_.removeWorkers(ts.w.socket, 1);
@@ -341,12 +321,11 @@ static inline void execFused(const ExecInst& in, RtVal* F, psim::WorkerCtx& w,
 
 Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
                                    std::int32_t end,
-                                   std::int32_t trailingConsts, Frame& f,
+                                   std::int32_t trailingConsts, RtVal* F,
                                    RankRun& rr) {
-  // Both are stable for the duration of this range: every nested construct
-  // restores rr.ts before returning, and frames never resize mid-execution.
+  // Stable for the duration of this range: every nested construct restores
+  // rr.ts before returning.
   psim::WorkerCtx& w = rr.ts->w;
-  RtVal* const F = f.data();
   const ExecInst* const code = p.code.data();
   // Dispatch count lives in a register for the loop's duration; every exit
   // path below flushes it (exception paths need not: RunStats is only
@@ -495,7 +474,7 @@ Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
         for (i64 i = lo; i < hi; ++i) {
           F[static_cast<std::size_t>(body.arg)] = RtVal::I(i);
           w.advance(ct_.loopIter);
-          if (execRange(p, body.begin, body.end, body.trailingConsts, f,
+          if (execRange(p, body.begin, body.end, body.trailingConsts, F,
                         rr) == Flow::Return)
             {
             rr.insts += nd;
@@ -511,7 +490,7 @@ Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
           F[static_cast<std::size_t>(body.arg)] = RtVal::I(iter);
           w.advance(ct_.loopIter);
           rr.yield = false;
-          if (execRange(p, body.begin, body.end, body.trailingConsts, f,
+          if (execRange(p, body.begin, body.end, body.trailingConsts, F,
                         rr) == Flow::Return)
             {
             rr.insts += nd;
@@ -526,7 +505,7 @@ Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
         break;
       case Op::If: {
         w.advance(ct_.intOp);
-        if (execBlock(p, V(0).u.i ? in.blockA : in.blockB, f, rr) ==
+        if (execBlock(p, V(0).u.i ? in.blockA : in.blockB, F, rr) ==
             Flow::Return) {
           rr.insts += nd;
           return Flow::Return;
@@ -550,7 +529,7 @@ Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
           F[static_cast<std::size_t>(body.arg)] = RtVal::I(i);
           w.advance(ct_.loopIter);
           Flow fl =
-              execRange(p, body.begin, body.end, body.trailingConsts, f, rr);
+              execRange(p, body.begin, body.end, body.trailingConsts, F, rr);
           PARAD_CHECK(fl == Flow::Normal, "return out of a workshare body");
         }
         break;
@@ -589,7 +568,7 @@ Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
       case Op::JlAllocArray:
       case Op::ParallelFor:
       case Op::Fork:
-        if (execComplexInst(p, in, f, rr) == Flow::Return) {
+        if (execComplexInst(p, in, F, rr) == Flow::Return) {
           rr.insts += nd;
           return Flow::Return;
         }
@@ -626,11 +605,10 @@ Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
 }
 
 Executor::Flow Executor::execComplexInst(const ExecProgram& p,
-                                         const ExecInst& in, Frame& f,
+                                         const ExecInst& in, RtVal* F,
                                          RankRun& rr) {
   psim::MemoryManager& mem = machine_.mem();
   psim::WorkerCtx& w = rr.ts->w;
-  RtVal* const F = f.data();
   const std::int32_t* ops =
       in.poolBase >= 0 ? p.pool.data() + in.poolBase : in.a.data();
   auto V = [&](std::size_t i) -> RtVal& {
@@ -708,7 +686,7 @@ Executor::Flow Executor::execComplexInst(const ExecProgram& p,
       ts.nthreads = static_cast<int>(free.size());
       ThreadState* parent = rr.ts;
       rr.ts = &ts;
-      Flow fl = execBlock(p, in.blockA, f, rr);
+      Flow fl = execBlock(p, in.blockA, F, rr);
       PARAD_CHECK(fl == Flow::Normal, "return out of a spawned task");
       rr.ts = parent;
       free[best] = ts.w.clock;
@@ -802,9 +780,9 @@ Executor::Flow Executor::execComplexInst(const ExecProgram& p,
     }
 
     case Op::ParallelFor:
-      return execParallelFor(p, in, f, rr);
+      return execParallelFor(p, in, F, rr);
     case Op::Fork:
-      return execFork(p, in, f, rr);
+      return execFork(p, in, F, rr);
 
     default:
       PARAD_UNREACHABLE("non-complex op in execComplexInst");

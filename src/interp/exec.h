@@ -68,15 +68,15 @@ class Executor {
   /// backend redirects ranges it compiled into native functions.
   virtual Flow execRange(const ExecProgram& p, std::int32_t pc,
                          std::int32_t end, std::int32_t trailingConsts,
-                         Frame& f, RankRun& rr);
-  Flow execBlock(const ExecProgram& p, std::int32_t blockId, Frame& f,
+                         RtVal* F, RankRun& rr);
+  Flow execBlock(const ExecProgram& p, std::int32_t blockId, RtVal* F,
                  RankRun& rr) {
     const ExecBlock& b = p.blocks[static_cast<std::size_t>(blockId)];
-    return execRange(p, b.begin, b.end, b.trailingConsts, f, rr);
+    return execRange(p, b.begin, b.end, b.trailingConsts, F, rr);
   }
-  Flow execFork(const ExecProgram& p, const ExecInst& in, Frame& f,
+  Flow execFork(const ExecProgram& p, const ExecInst& in, RtVal* F,
                 RankRun& rr);
-  Flow execParallelFor(const ExecProgram& p, const ExecInst& in, Frame& f,
+  Flow execParallelFor(const ExecProgram& p, const ExecInst& in, RtVal* F,
                        RankRun& rr);
   RtVal callProgram(const ExecProgram& callee, const RtVal* args,
                     std::size_t nArgs, RankRun& rr);
@@ -86,8 +86,10 @@ class Executor {
   /// single implementation both the dispatch loop's switch and the codegen
   /// backend's complex-op callback funnel through, so every backend charges
   /// and mutates machine state identically. Does NOT touch rr.insts: the
-  /// caller owns dispatch counting.
-  Flow execComplexInst(const ExecProgram& p, const ExecInst& in, Frame& f,
+  /// caller owns dispatch counting. `F` is the frame of the executing
+  /// function: a heap frame for the interpreting engines, a native-stack
+  /// array for a codegen direct call.
+  Flow execComplexInst(const ExecProgram& p, const ExecInst& in, RtVal* F,
                        RankRun& rr);
 
   /// Load and Store: object lookup, the 8-byte memory charge, the bounds

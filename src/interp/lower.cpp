@@ -60,19 +60,6 @@ std::uint64_t fingerprint(const ir::Function& fn) {
 
 namespace {
 
-// Mirrors the tree-walker's collectDefined: every value id defined inside an
-// instruction's regions (results and region args), used for the fork body's
-// per-thread private storage set.
-void collectDefined(const ir::Inst& in, std::vector<std::int32_t>& out) {
-  for (const ir::Region& r : in.regions) {
-    for (int a : r.args) out.push_back(a);
-    for (const ir::Inst& i : r.insts) {
-      if (i.result >= 0) out.push_back(i.result);
-      collectDefined(i, out);
-    }
-  }
-}
-
 // Ops eligible for superinstruction pairing: region-free frame arithmetic
 // whose execution touches only the frame and the worker clock (no memory
 // manager, no scheduler state, no thread identity). Two adjacent fusable
@@ -139,7 +126,6 @@ class Lowerer {
     p.numParams = fn.paramTypes.size();
     p.paramSlots.assign(fn.body.args.begin(), fn.body.args.end());
     p.fingerprint = fingerprint(fn);
-    constIndexOf_.clear();  // slots are function-local SSA ids
     p.entryBlock = lowerRegion(fn.body, p);
     xm_.programs[static_cast<std::size_t>(idx)] = std::move(p);
   }
@@ -171,8 +157,6 @@ class Lowerer {
       if ((in.op == Op::ConstF || in.op == Op::ConstI ||
            in.op == Op::ConstB) &&
           in.result >= 0) {
-        constIndexOf_[in.result] =
-            static_cast<std::int32_t>(p.constInits.size());
         ConstInit ci;
         ci.slot = in.result;
         ci.isF = in.op == Op::ConstF;
@@ -218,7 +202,7 @@ class Lowerer {
       ExecInst& xi = p.code[static_cast<std::size_t>(codeIdx[i])];
       xi.blockA = blockA;
       xi.blockB = blockB;
-      if (in.op == Op::Fork) segmentFork(in, xi, blockA, p);
+      if (in.op == Op::Fork) segmentFork(xi, blockA, p);
     }
     return blockId;
   }
@@ -269,8 +253,7 @@ class Lowerer {
   /// segments (the barrier instructions themselves are skipped, exactly as
   /// the tree-walker's structural segmentation never executes them) and
   /// records the per-thread private value set in the program pool.
-  void segmentFork(const ir::Inst& in, ExecInst& xi, std::int32_t bodyBlock,
-                   ExecProgram& p) {
+  void segmentFork(ExecInst& xi, std::int32_t bodyBlock, ExecProgram& p) {
     // The body block's range holds exactly the region's top-level
     // instructions (nested bodies live in their own ranges), so scanning it
     // finds exactly the top-level barriers.
@@ -298,32 +281,28 @@ class Lowerer {
     }
     xi.segCount = static_cast<std::int32_t>(p.segments.size()) - xi.segBase;
 
-    std::vector<std::int32_t> priv;
-    collectDefined(in, priv);
+    // Per-thread private storage: a value can only be read across a barrier
+    // (by the same thread, after every other thread ran the same segment and
+    // overwrote the shared frame slot) when a non-final segment defines it at
+    // the body's top level. Values defined in nested regions are scoped to
+    // one execution of that region, final-segment values die at the join, and
+    // folded constants are never written after frame setup.
     xi.privBase = static_cast<std::int32_t>(p.pool.size());
-    xi.privCount = static_cast<std::int32_t>(priv.size());
-    p.pool.insert(p.pool.end(), priv.begin(), priv.end());
-
-    // Privatized slots holding folded constants: the tree-walker re-defines
-    // them inside each thread's segment, so the per-thread store must start
-    // with the constant value rather than zero.
-    xi.privFixBase = static_cast<std::int32_t>(p.pool.size());
-    std::int32_t nFix = 0;
-    for (std::size_t k = 0; k < priv.size(); ++k) {
-      auto it = constIndexOf_.find(priv[k]);
-      if (it == constIndexOf_.end()) continue;
-      p.pool.push_back(static_cast<std::int32_t>(k));
-      p.pool.push_back(it->second);
-      ++nFix;
+    for (std::int32_t si = 0; si + 1 < xi.segCount; ++si) {
+      const ExecSegment& s =
+          p.segments[static_cast<std::size_t>(xi.segBase + si)];
+      for (std::int32_t pc = s.begin; pc < s.end; ++pc) {
+        const ExecInst& x = p.code[static_cast<std::size_t>(pc)];
+        if (x.result >= 0) p.pool.push_back(x.result);
+        if (x.op2 >= 0 && x.result2 >= 0) p.pool.push_back(x.result2);
+      }
     }
-    xi.privFixCount = nFix;
+    xi.privCount = static_cast<std::int32_t>(p.pool.size()) - xi.privBase;
   }
 
   const ir::Module& mod_;
   ExecModule& xm_;
   std::deque<std::string> pending_;
-  // Frame slot -> ExecProgram::constInits index, for the current function.
-  std::unordered_map<std::int32_t, std::int32_t> constIndexOf_;
 };
 
 }  // namespace

@@ -6,13 +6,14 @@
 // of heap vectors), pre-resolved callee program indices, region bodies turned
 // into jump-addressed blocks ([begin, end) ranges into one contiguous code
 // array), pre-split barrier segments for fork bodies, and precomputed
-// defined-value sets for per-thread fork storage. Constant instructions are
-// folded out of the stream entirely (ConstInit, applied at frame setup) with
-// per-instruction skip counts keeping instsExecuted bit-identical to the
-// tree-walker, and adjacent region-free arithmetic instructions are paired
-// into superinstructions that share one dispatch. Cost *folding* lives in
-// psim::CostTable (built per MachineConfig at execution time), which keeps
-// ExecPrograms machine-independent and therefore cacheable across Machines.
+// per-thread fork storage sets (the values that live across a barrier).
+// Constant instructions are folded out of the stream entirely (ConstInit,
+// applied at frame setup) with per-instruction skip counts keeping
+// instsExecuted bit-identical to the tree-walker, and adjacent region-free
+// arithmetic instructions are paired into superinstructions that share one
+// dispatch. Cost *folding* lives in psim::CostTable (built per MachineConfig
+// at execution time), which keeps ExecPrograms machine-independent and
+// therefore cacheable across Machines.
 //
 // Programs are cached process-wide in ProgramCache, keyed by function. A
 // cache hit is revalidated against a structural fingerprint of the current
@@ -59,7 +60,6 @@ struct ExecInst {
   std::int32_t blockB = -1;    // second sub-block (else)
   std::int32_t segBase = 0, segCount = 0;    // Fork: barrier segments
   std::int32_t privBase = 0, privCount = 0;  // Fork: per-thread value slots
-  std::int32_t privFixBase = 0, privFixCount = 0;  // Fork: const slot inits
   // Constant instructions immediately preceding this one in source order were
   // folded out of the stream (their values live in ExecProgram::constInits);
   // the executor adds this count when dispatching so instsExecuted stays
@@ -110,7 +110,7 @@ struct ExecProgram {
   std::vector<ExecBlock> blocks;
   std::vector<ExecSegment> segments;
   std::vector<ConstInit> constInits;  // folded constants, applied at frame setup
-  std::vector<std::int32_t> pool;  // operand spill + fork defined-value sets
+  std::vector<std::int32_t> pool;  // operand spill + fork per-thread sets
   std::int32_t entryBlock = 0;
   std::uint64_t fingerprint = 0;   // structural hash of the source Function
 };

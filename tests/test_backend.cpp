@@ -836,6 +836,200 @@ TEST(Codegen, KillReplayResyncsViewTable) {
   EXPECT_EQ(faulty.x, clean.x);
 }
 
+// ---------------------------------------------------------------------------
+// Register-resident ranges: C locals, per-range object resolution and direct
+// calls. Each case drives one path where a value or a resolved pointer lives
+// across something that could invalidate it, bit for bit against exec.
+
+/// The generated source for `mod`'s closure of "f".
+std::string sourceOf(const ir::Module& mod) {
+  return interp::emitClosureSource(*interp::compileClosure(mod, mod.get("f")));
+}
+
+TEST(Codegen, LocalSurvivesViewTableGrowth) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  // `v` is a C local of f's entry range; 40 Allocs (host ops) grow, and so
+  // move, the view table between its definition and its reads.
+  ir::Module mod = kernel([](ir::FunctionBuilder& b, Value x, Value n) {
+    auto v = b.fmul(b.load(x, b.constI(1)), b.constF(2.5));
+    Value last = x;
+    for (int k = 0; k < 40; ++k) {
+      last = b.alloc(n, Type::F64);
+      b.store(last, b.constI(k % 5), v);
+    }
+    b.store(x, b.constI(2), v);
+    return b.fadd(v, b.load(last, b.constI(4)));
+  });
+  EXPECT_NE(sourceOf(mod).find("parad_cg_val v"), std::string::npos);
+  Outcome o = expectCodegenMatchesExec(mod);
+  EXPECT_EQ(o.error, "");
+  EXPECT_EQ(o.x[0][2], kInput[1] * 2.5);
+  EXPECT_EQ(o.ret, kInput[1] * 2.5 * 2);
+}
+
+TEST(Codegen, ResolvedPointerFreedMidRangeRaisesUseAfterFree) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  // `p` is resolved by its first load; the object is then freed by a host
+  // op in the same range, or by a directly-called callee, and the next load
+  // through `p` must re-resolve and raise exec's use-after-free.
+  auto freedBy = [](bool viaCall) {
+    ir::Module mod;
+    {
+      ir::FunctionBuilder g(mod, "release", {Type::PtrF64});
+      g.free_(g.param(0));
+      g.finish();
+    }
+    ir::FunctionBuilder b(mod, "f", {Type::PtrF64, Type::I64}, Type::F64);
+    auto t = b.alloc(b.param(1), Type::F64);
+    auto p = b.ptrOffset(t, b.constI(1));
+    b.store(p, b.constI(0), b.load(b.param(0), b.constI(0)));
+    auto first = b.load(p, b.constI(0));
+    if (viaCall)
+      b.call("release", {t});
+    else
+      b.free_(t);
+    b.ret(b.fadd(first, b.load(p, b.constI(0))));
+    b.finish();
+    return mod;
+  };
+  for (bool viaCall : {false, true}) {
+    SCOPED_TRACE(viaCall ? "freed by a callee" : "freed in the range");
+    Outcome o = expectCodegenMatchesExec(freedBy(viaCall));
+    EXPECT_NE(o.error.find("use after free"), std::string::npos) << o.error;
+  }
+}
+
+TEST(Codegen, ForkSegmentValueCrossesBarrier) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  // `a` is defined in segment 0 and read in segment 1, so it lives in the
+  // frame and is saved and restored per thread; `w` is read only in segment
+  // 0, so it is a C local of that segment's range.
+  ir::Module mod = kernel([](ir::FunctionBuilder& b, Value x, Value n) {
+    (void)n;
+    b.emitFork(b.constI(4), [&](Value tid) {
+      auto w = b.fmul(b.load(x, tid), b.constF(3.0));
+      auto a = b.fadd(w, b.itof(tid));
+      b.store(x, tid, w);
+      b.barrier();
+      b.store(x, tid, b.fsub(b.load(x, tid), a));
+    });
+    return b.load(x, b.constI(3));
+  });
+  RunSpec spec;
+  spec.launch = {1, 4};
+  Outcome o = expectCodegenMatchesExec(mod, spec);
+  EXPECT_EQ(o.error, "");
+  for (int t = 0; t < 4; ++t) {
+    double w = kInput[static_cast<std::size_t>(t)] * 3.0;
+    EXPECT_EQ(o.x[0][static_cast<std::size_t>(t)], w - (w + t)) << t;
+  }
+}
+
+TEST(Codegen, SelectOverPointerLocal) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  // Both arms of the Select are pointers, and its result is a C local that
+  // is resolved at its first access like any frame-resident pointer.
+  ir::Module mod = kernel([](ir::FunctionBuilder& b, Value x, Value n) {
+    auto t = b.alloc(n, Type::F64);
+    b.store(t, b.constI(3), b.constF(-4.0));
+    auto pick = [&](Value cond) {
+      auto p = b.select(cond, x, t);
+      b.store(p, b.constI(4), b.fadd(b.load(p, b.constI(3)), b.constF(1)));
+      return b.load(p, b.constI(4));
+    };
+    auto a = pick(b.igt(n, b.constI(3)));
+    auto c = pick(b.ilt(n, b.constI(3)));
+    return b.fmul(a, c);
+  });
+  Outcome o = expectCodegenMatchesExec(mod);
+  EXPECT_EQ(o.error, "");
+  EXPECT_EQ(o.ret, (kInput[3] + 1) * (-4.0 + 1));
+}
+
+/// f(x, n) returns rec(depth) + x[0], where rec(k) recurses k deep.
+ir::Module recursion(i64 depth) {
+  ir::Module mod;
+  {
+    ir::FunctionBuilder b(mod, "rec", {Type::I64}, Type::F64);
+    b.ret(b.constF(0));
+    b.finish();
+  }
+  ir::FunctionBuilder r(mod, "rec", {Type::I64}, Type::F64);
+  auto k = r.param(0);
+  auto out = r.alloc(r.constI(1), Type::F64);
+  r.emitIf(r.igt(k, r.constI(0)), [&] {
+    auto v = r.call("rec", {r.isub(k, r.constI(1))});
+    r.store(out, r.constI(0), r.fadd(v, r.constF(0.5)));
+  });
+  r.ret(r.load(out, r.constI(0)));
+  r.finish();
+  ir::FunctionBuilder b(mod, "f", {Type::PtrF64, Type::I64}, Type::F64);
+  auto v = b.call("rec", {b.constI(depth)});
+  b.ret(b.fadd(v, b.load(b.param(0), b.constI(0))));
+  b.finish();
+  return mod;
+}
+
+TEST(Codegen, DirectCallRecursionMatchesExecPastMaxCallDepth) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  // f's call plus 510 nested ones is the deepest chain maxCallDepth (512)
+  // admits; rec's frame fits on the native stack, so its calls are direct.
+  ir::Module deep = recursion(510);
+  EXPECT_NE(sourceOf(deep).find("static parad_cg_val c1("), std::string::npos);
+  Outcome ok = expectCodegenMatchesExec(deep);
+  EXPECT_EQ(ok.error, "");
+  EXPECT_EQ(ok.ret, 510 * 0.5 + kInput[0]);
+  // One level deeper fails with exec's error text, file and line included,
+  // since the failing check is exec's own.
+  Outcome bad = expectCodegenMatchesExec(recursion(511));
+  EXPECT_NE(bad.error.find("call depth limit exceeded"), std::string::npos)
+      << bad.error;
+}
+
+TEST(Codegen, LargeFrameCalleeTakesHostPath) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  // `wide` has over 512 values, more than a native-stack frame may hold, so
+  // f calls it through the host; `small` is called directly.
+  ir::Module mod;
+  {
+    ir::FunctionBuilder g(mod, "wide", {Type::F64}, Type::F64);
+    Value v = g.param(0);
+    for (int k = 0; k < 300; ++k)
+      v = g.fadd(g.fmul(v, g.constF(0.999)), g.constF(1e-3 * k));
+    g.ret(v);
+    g.finish();
+  }
+  {
+    ir::FunctionBuilder g(mod, "small", {Type::F64}, Type::F64);
+    g.ret(g.fmul(g.param(0), g.param(0)));
+    g.finish();
+  }
+  ir::FunctionBuilder b(mod, "f", {Type::PtrF64, Type::I64}, Type::F64);
+  auto x = b.param(0);
+  auto w = b.call("wide", {b.load(x, b.constI(2))});
+  b.ret(b.fadd(w, b.call("small", {b.load(x, b.constI(1))})));
+  b.finish();
+  auto xm = interp::compileClosure(mod, mod.get("f"));
+  ASSERT_GT(xm->programs[static_cast<std::size_t>(xm->indexOf.at("wide"))]
+                .numValues,
+            512);
+  std::string src = interp::emitClosureSource(*xm);
+  EXPECT_EQ(src.find("static parad_cg_val c" +
+                     std::to_string(xm->indexOf.at("wide")) + "("),
+            std::string::npos);
+  EXPECT_NE(src.find("static parad_cg_val c" +
+                     std::to_string(xm->indexOf.at("small")) + "("),
+            std::string::npos);
+  EXPECT_NE(src.find("c->api->call("), std::string::npos);
+  EXPECT_EQ(expectCodegenMatchesExec(mod).error, "");
+}
+
 TEST(Codegen, FallsBackToExecWithoutCompiler) {
   interp::CodegenConfig cfg;
   cfg.compiler = "/nonexistent/parad-no-such-compiler";

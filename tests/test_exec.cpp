@@ -403,6 +403,49 @@ TEST(LowerFusion, AdjacentArithmeticSharesASlot) {
   });
 }
 
+TEST(LowerFork, PrivatizesOnlyValuesCrossingABarrier) {
+  // Per-thread storage holds the top-level results of non-final segments:
+  // `a` (segment 0) and `c` (segment 1). The loop body's values are scoped
+  // to one iteration, the folded constants are never rewritten and the
+  // final segment's values die at the join, so none of those is saved and
+  // restored per thread.
+  ir::Module mod;
+  ir::FunctionBuilder b(mod, "f", {Type::PtrF64, Type::I64}, Type::F64);
+  auto x = b.param(0);
+  b.emitFork(b.constI(4), [&](ir::Value tid) {
+    auto a = b.imul(tid, b.constI(3));
+    b.emitFor(b.constI(0), b.constI(3), [&](ir::Value i) {
+      auto k = b.iadd(i, a);
+      b.store(x, tid, b.fadd(b.load(x, tid), b.itof(k)));
+    });
+    b.barrier();
+    auto c = b.iadd(a, b.constI(1));
+    b.barrier();
+    b.store(x, tid, b.fadd(b.load(x, tid), b.itof(c)));
+  });
+  b.ret(b.load(x, b.constI(0)));
+  b.finish();
+  ir::verify(mod);
+
+  auto xm = interp::lower(mod, mod.get("f"));
+  const interp::ExecProgram& p = xm->programs[0];
+  const interp::ExecInst* fork = nullptr;
+  for (const interp::ExecInst& in : p.code)
+    if (in.op == ir::Op::Fork) fork = &in;
+  ASSERT_NE(fork, nullptr);
+  EXPECT_EQ(fork->segCount, 3);
+  EXPECT_EQ(fork->privCount, 2);
+
+  Outcome o = expectEnginesAgree(mod, "f", bufArgs(5), 1, 4, 5);
+  // Thread t adds 3t, 3t + 1 and 3t + 2 in the loop, then c = 3t + 1.
+  Rng rng(11);
+  for (int t = 0; t < 4; ++t) {
+    double want = rng.uniform(-2, 2);
+    for (int k : {3 * t, 3 * t + 1, 3 * t + 2, 3 * t + 1}) want += k;
+    EXPECT_EQ(o.buf[static_cast<std::size_t>(t)], want) << t;
+  }
+}
+
 TEST(ExecCache, SecondRunHits) {
   ir::Module mod;
   ir::FunctionBuilder b(mod, "f", {Type::F64}, Type::F64);

@@ -370,7 +370,7 @@ TEST(Serve, ManyClientThreadsMixedTenants) {
     clients.emplace_back([&, t] {
       for (int j = 0; j < kPerClient; ++j) {
         serve::Request req;
-        req.program = (t + j) % 2 == 0 ? "a" : "b";
+        req.program.assign(1, (t + j) % 2 == 0 ? 'a' : 'b');
         req.inputs = inputFor(t * kPerClient + j, kN);
         req.seed = 1.0 + 0.0625 * j;
         serve::Response r = svc.call(std::move(req));
