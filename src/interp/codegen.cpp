@@ -33,8 +33,10 @@ namespace parad::interp {
 
 using ir::Op;
 
-// Bumped whenever the emitter changes what it prints for the same closure:
-// part of the artifact fingerprint, so stale on-disk objects never load.
+// Bumped whenever the emitter changes what it prints for the same closure.
+// Part of the closure fingerprint, which keys artifacts in memory; on disk
+// the emitted source is hashed into the name as well, so an emitter change
+// made without a bump cannot load a stale object either.
 constexpr std::uint64_t kGeneratorVersion = 3;
 
 // The generated code's structs must alias the host's exactly — every frame,
@@ -1236,7 +1238,8 @@ std::string extraFlagsOf(const CodegenConfig& cfg) {
 /// Extra compile flags change the object, not the closure, so they are part
 /// of the artifact's identity: a sanitizer build never loads an
 /// uninstrumented object from a shared cache directory, nor the reverse.
-/// Without extra flags the key is the closure fingerprint itself.
+/// Without extra flags the key is the closure fingerprint itself. This is
+/// the in-memory key, and the fingerprint a loaded object must export.
 std::uint64_t artifactKeyOf(const ExecModule& xm,
                             const std::string& extraFlags) {
   std::uint64_t fp = closureFingerprint(xm);
@@ -1244,6 +1247,18 @@ std::uint64_t artifactKeyOf(const ExecModule& xm,
   hash::Fnv f;
   f.mix(fp);
   f.mix(extraFlags);
+  return f.h;
+}
+
+/// The on-disk name of an artifact: its in-memory key mixed with a hash of
+/// the emitted source. The closure fingerprint covers the IR, not the
+/// emitter, so without the source a changed emitter (or a lowering detail
+/// the fingerprint does not hash) would be served an object built from
+/// different code, whose range table need not even line up.
+std::uint64_t diskKeyOf(std::uint64_t key, const std::string& source) {
+  hash::Fnv f;
+  f.mix(key);
+  f.mix(source);
   return f.h;
 }
 
@@ -1332,7 +1347,9 @@ std::shared_ptr<const CodegenArtifact> CodegenCache::lookup(
     return nullptr;
   }
   const std::string entry = "@" + xm.programs[0].name;
-  const std::string hex = hex64(fp);
+  // Emitted on an in-memory miss only: memory hits pay nothing for it.
+  std::string source = SourceEmitter(xm).emit(fp);
+  const std::string hex = hex64(diskKeyOf(fp, source));
 
   std::string dir = resolveCacheDir(im.cfg);
   if (!makeDirs(dir)) {
@@ -1354,7 +1371,7 @@ std::shared_ptr<const CodegenArtifact> CodegenCache::lookup(
       im.insertMem(fp, art, fileSize(soPath));
       im.remarks.emit(core::RemarkKind::Backend,
                       "codegen: reused on-disk artifact for " + entry +
-                          " (fp " + hex + ")");
+                          " (key " + hex + ")");
       return art;
     }
     im.remarks.emit(core::RemarkKind::Backend,
@@ -1389,9 +1406,9 @@ std::shared_ptr<const CodegenArtifact> CodegenCache::lookup(
   io::IoFaultPlan ioFaults(im.cfg.ioFaults);
   std::string srcPath = base + ".cpp";
   {
-    std::string source = SourceEmitter(xm).emit(fp);
+    const std::string src = std::move(source);  // freed before the compile
     std::string werr;
-    if (!io::atomicWriteFile(srcPath, source.data(), source.size(),
+    if (!io::atomicWriteFile(srcPath, src.data(), src.size(),
                              &ioFaults, fp ^ 0x737263ull /*"src"*/, &werr)) {
       ++im.counters.fallbacks;
       im.failed.insert(fp);
@@ -1447,7 +1464,7 @@ std::shared_ptr<const CodegenArtifact> CodegenCache::lookup(
   im.insertMem(fp, art, fileSize(soPath));
   im.sweepDisk(dir, soPath);
   im.remarks.emit(core::RemarkKind::Backend,
-                  "codegen: compiled " + entry + " (fp " + hex + ", " +
+                  "codegen: compiled " + entry + " (key " + hex + ", " +
                       std::to_string(buildRangeTable(xm).size()) +
                       " ranges)");
   return art;
@@ -1510,7 +1527,8 @@ std::string CodegenCache::cacheDirInUse() const {
 std::uint64_t CodegenCache::artifactKey(const ExecModule& xm) const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  return artifactKeyOf(xm, extraFlagsOf(im.cfg));
+  std::uint64_t key = artifactKeyOf(xm, extraFlagsOf(im.cfg));
+  return diskKeyOf(key, SourceEmitter(xm).emit(key));
 }
 
 // ---------------------------------------------------------------------------

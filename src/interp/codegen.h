@@ -26,12 +26,14 @@
 // over the closure's per-program structural fingerprints (the same hashes
 // ProgramCache revalidates against) plus the ABI and generator versions,
 // mixed with any extra compile flags (so objects built with, say, sanitizer
-// flags are never served to a run without them, or the reverse).
-// Shared objects live under a per-user cache directory and are reused
-// across processes; a fingerprint or ABI mismatch at dlopen time discards
-// the stale artifact and recompiles. When no host compiler is available the
-// backend falls back to the exec engine with a structured Backend remark —
-// never an error.
+// flags are never served to a run without them, or the reverse). That key
+// names an artifact in memory; on disk its name also mixes in a hash of the
+// emitted source, so an emitter change can never be served an object that
+// an earlier emitter built for the same closure. Shared objects live under
+// a per-user cache directory and are reused across processes; a fingerprint
+// or ABI mismatch at dlopen time discards the stale artifact and
+// recompiles. When no host compiler is available the backend falls back to
+// the exec engine with a structured Backend remark — never an error.
 #pragma once
 
 #include <cstddef>
@@ -121,9 +123,11 @@ class CodegenCache {
 
   /// The directory artifacts are written to under the current config.
   std::string cacheDirInUse() const;
-  /// The key an artifact for this closure is stored and validated under
+  /// The key an artifact for this closure is stored under on disk
   /// (parad_cg_<16-hex key>.so): its closureFingerprint, mixed with the
-  /// current extra compile flags when there are any.
+  /// current extra compile flags when there are any (the in-memory key,
+  /// which a loaded object must export), then with an FNV hash of the
+  /// emitted source, so a changed emitter never loads a stale object.
   std::uint64_t artifactKey(const ExecModule& xm) const;
 
  private:

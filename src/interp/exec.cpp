@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 
 namespace parad::interp {
 
@@ -219,374 +221,434 @@ Executor::Flow Executor::execParallelFor(const ExecProgram& p,
   return Flow::Normal;
 }
 
-/// Executes the region-free arithmetic instruction fused into `in`'s second
-/// slot (superinstruction pairing, see lower.cpp). Each case mirrors the
-/// corresponding main-switch case exactly — same cost advance, same frame
-/// write — so a fused pair is observationally identical to two dispatches.
-static inline void execFused(const ExecInst& in, RtVal* F, psim::WorkerCtx& w,
-                             const psim::CostTable& ct) {
-  const std::int32_t* o = in.a2.data();
-  auto V = [&](std::size_t i) -> RtVal& {
-    return F[static_cast<std::size_t>(o[i])];
-  };
-  auto setF = [&](double v) {
-    F[static_cast<std::size_t>(in.result2)].u.f = v;
-  };
-  auto setI = [&](i64 v) { F[static_cast<std::size_t>(in.result2)].u.i = v; };
-  auto setB = [&](bool v) {
-    F[static_cast<std::size_t>(in.result2)].u.i = v ? 1 : 0;
-  };
-  switch (static_cast<Op>(in.op2)) {
-    case Op::FAdd: w.advance(ct.flop); setF(V(0).u.f + V(1).u.f); break;
-    case Op::FSub: w.advance(ct.flop); setF(V(0).u.f - V(1).u.f); break;
-    case Op::FMul: w.advance(ct.flop); setF(V(0).u.f * V(1).u.f); break;
-    case Op::FDiv: w.advance(ct.fdiv); setF(V(0).u.f / V(1).u.f); break;
-    case Op::FNeg: w.advance(ct.flop); setF(-V(0).u.f); break;
-    case Op::Sqrt: w.advance(ct.special); setF(std::sqrt(V(0).u.f)); break;
-    case Op::Sin: w.advance(ct.special); setF(std::sin(V(0).u.f)); break;
-    case Op::Cos: w.advance(ct.special); setF(std::cos(V(0).u.f)); break;
-    case Op::Exp: w.advance(ct.special); setF(std::exp(V(0).u.f)); break;
-    case Op::Log: w.advance(ct.special); setF(std::log(V(0).u.f)); break;
-    case Op::Cbrt: w.advance(ct.special); setF(std::cbrt(V(0).u.f)); break;
-    case Op::Pow:
-      w.advance(ct.powCost);
-      setF(std::pow(V(0).u.f, V(1).u.f));
-      break;
-    case Op::FAbs: w.advance(ct.minmax); setF(std::fabs(V(0).u.f)); break;
-    case Op::FMin:
-      w.advance(ct.minmax);
-      setF(std::min(V(0).u.f, V(1).u.f));
-      break;
-    case Op::FMax:
-      w.advance(ct.minmax);
-      setF(std::max(V(0).u.f, V(1).u.f));
-      break;
-    case Op::IAdd: w.advance(ct.intOp); setI(V(0).u.i + V(1).u.i); break;
-    case Op::ISub: w.advance(ct.intOp); setI(V(0).u.i - V(1).u.i); break;
-    case Op::IMul: w.advance(ct.intOp); setI(V(0).u.i * V(1).u.i); break;
-    case Op::IDiv:
-      w.advance(ct.intDiv);
-      PARAD_CHECK(V(1).u.i != 0, "integer division by zero");
-      setI(V(0).u.i / V(1).u.i);
-      break;
-    case Op::IRem:
-      w.advance(ct.intDiv);
-      PARAD_CHECK(V(1).u.i != 0, "integer remainder by zero");
-      setI(V(0).u.i % V(1).u.i);
-      break;
-    case Op::IMinOp:
-      w.advance(ct.intOp);
-      setI(std::min(V(0).u.i, V(1).u.i));
-      break;
-    case Op::IMaxOp:
-      w.advance(ct.intOp);
-      setI(std::max(V(0).u.i, V(1).u.i));
-      break;
-    case Op::ICmpEq: w.advance(ct.intOp); setB(V(0).u.i == V(1).u.i); break;
-    case Op::ICmpNe: w.advance(ct.intOp); setB(V(0).u.i != V(1).u.i); break;
-    case Op::ICmpLt: w.advance(ct.intOp); setB(V(0).u.i < V(1).u.i); break;
-    case Op::ICmpLe: w.advance(ct.intOp); setB(V(0).u.i <= V(1).u.i); break;
-    case Op::ICmpGt: w.advance(ct.intOp); setB(V(0).u.i > V(1).u.i); break;
-    case Op::ICmpGe: w.advance(ct.intOp); setB(V(0).u.i >= V(1).u.i); break;
-    case Op::FCmpLt: w.advance(ct.intOp); setB(V(0).u.f < V(1).u.f); break;
-    case Op::FCmpLe: w.advance(ct.intOp); setB(V(0).u.f <= V(1).u.f); break;
-    case Op::FCmpGt: w.advance(ct.intOp); setB(V(0).u.f > V(1).u.f); break;
-    case Op::FCmpGe: w.advance(ct.intOp); setB(V(0).u.f >= V(1).u.f); break;
-    case Op::FCmpEq: w.advance(ct.intOp); setB(V(0).u.f == V(1).u.f); break;
-    case Op::BAnd: w.advance(ct.intOp); setB(V(0).u.i && V(1).u.i); break;
-    case Op::BOr: w.advance(ct.intOp); setB(V(0).u.i || V(1).u.i); break;
-    case Op::BNot: w.advance(ct.intOp); setB(!V(0).u.i); break;
-    case Op::Select:
-      w.advance(ct.intOp);
-      F[static_cast<std::size_t>(in.result2)] = V(0).u.i ? V(1) : V(2);
-      break;
-    case Op::IToF:
-      w.advance(ct.intOp);
-      setF(static_cast<double>(V(0).u.i));
-      break;
-    case Op::FToI:
-      w.advance(ct.intOp);
-      setI(static_cast<i64>(V(0).u.f));
-      break;
-    case Op::PtrOffset: {
-      w.advance(ct.intOp);
-      RtPtr ptr = V(0).u.p;
-      ptr.off += V(1).u.i;
-      F[static_cast<std::size_t>(in.result2)].u.p = ptr;
-      break;
-    }
-    default: PARAD_UNREACHABLE("non-arithmetic op in fused slot");
+namespace {
+
+// Every ir::Op in declaration order, by how execRange dispatches it:
+//   A  region-free frame arithmetic: a handler in the main slot and one in
+//      the fused second slot (lower.cpp's fusableOp pairs exactly these);
+//   P  a handler of its own in the main slot only;
+//   C  a machine-state instruction, run by execComplexInst.
+// The static_assert below checks the order against ir::Op.
+#define PARAD_EXEC_OPS(A, P, C)                                             \
+  P(ConstF) P(ConstI) P(ConstB)                                             \
+  A(FAdd) A(FSub) A(FMul) A(FDiv) A(FNeg)                                   \
+  A(Sqrt) A(Sin) A(Cos) A(Exp) A(Log) A(Pow) A(FAbs) A(FMin) A(FMax)        \
+  A(Cbrt)                                                                   \
+  A(IAdd) A(ISub) A(IMul) A(IDiv) A(IRem) A(IMinOp) A(IMaxOp)               \
+  A(ICmpEq) A(ICmpNe) A(ICmpLt) A(ICmpLe) A(ICmpGt) A(ICmpGe)               \
+  A(FCmpLt) A(FCmpLe) A(FCmpGt) A(FCmpGe) A(FCmpEq)                         \
+  A(BAnd) A(BOr) A(BNot) A(Select) A(IToF) A(FToI)                          \
+  C(Alloc) C(Free) P(Load) P(Store) A(PtrOffset) C(AtomicAddF) C(Memset0)   \
+  P(Call) P(CallIndirect) P(Return)                                         \
+  P(For) P(While) P(Yield) P(If)                                            \
+  C(ParallelFor) C(Fork) P(Workshare) P(BarrierOp) P(ThreadIdOp)            \
+  P(NumThreadsOp) C(Spawn) C(SyncOp)                                        \
+  P(MpRank) P(MpSize) C(MpIsend) C(MpIrecv) C(MpWaitOp) C(MpSend)           \
+  C(MpRecv) C(MpAllreduce) C(MpBarrier)                                     \
+  P(OmpParallelFor) C(JlAllocArray) P(GcPreserveBegin) P(GcPreserveEnd)
+
+#define PARAD_OP_ENUM(name) Op::name,
+constexpr Op kOpOrder[] = {
+    PARAD_EXEC_OPS(PARAD_OP_ENUM, PARAD_OP_ENUM, PARAD_OP_ENUM)};
+#undef PARAD_OP_ENUM
+constexpr bool opOrderMatches() {
+  for (std::size_t i = 0; i < std::size(kOpOrder); ++i)
+    if (static_cast<std::size_t>(kOpOrder[i]) != i) return false;
+  return std::size(kOpOrder) ==
+         static_cast<std::size_t>(Op::GcPreserveEnd) + 1;
+}
+static_assert(opOrderMatches(),
+              "PARAD_EXEC_OPS must list every ir::Op in declaration order");
+
+/// A math intrinsic's result, and the caller's clock handed back unchanged.
+struct MathOut {
+  double v, clk;
+};
+/// Runs a libm intrinsic out of line. The dispatch loop's clock goes in and
+/// comes back as a value, so it is never live across the libm call: x86-64
+/// has no callee-saved vector registers, and one double live across a call
+/// is enough for GCC to keep the clock in memory for the whole loop.
+[[gnu::noinline]] MathOut mathOp(Op op, double x, double y, double clk) {
+  switch (op) {
+    case Op::Sqrt: return {std::sqrt(x), clk};
+    case Op::Sin: return {std::sin(x), clk};
+    case Op::Cos: return {std::cos(x), clk};
+    case Op::Exp: return {std::exp(x), clk};
+    case Op::Log: return {std::log(x), clk};
+    case Op::Cbrt: return {std::cbrt(x), clk};
+    case Op::Pow: return {std::pow(x, y), clk};
+    default: PARAD_UNREACHABLE("not a math intrinsic");
   }
 }
 
+/// An element the memory fast path may touch directly, and the 8-byte
+/// charge (before dilation) of accessing it.
+struct FastElem {
+  char* at = nullptr;  // nullptr: take loadElem / storeElem
+  double charge = 0;
+};
+/// The memory fast path's check, the same one generated code makes (pd_res
+/// in codegen.cpp): the object is in the view table, the index is below its
+/// count (0 once freed), the element is not a pointer, and the home
+/// socket's charge memo is current. Whatever it rejects takes exec's own
+/// Load/Store, which charges and fails exactly as before.
+inline FastElem fastElem(const psim::ObjViewTable& t,
+                         const psim::Machine::MemCharge* memo,
+                         const int* workers, int socket, RtPtr ptr, i64 idx) {
+  FastElem e;
+  if (static_cast<std::uint64_t>(ptr.obj) >= static_cast<std::uint64_t>(t.n))
+    return e;
+  const psim::ObjView& o = t.data[ptr.obj];
+  const i64 k = ptr.off + idx;
+  if (static_cast<std::uint64_t>(k) >= static_cast<std::uint64_t>(o.count) ||
+      o.elem == static_cast<std::int32_t>(Type::PtrF64))
+    return e;
+  const psim::Machine::MemCharge& m = memo[o.home];
+  if (m.sharers != workers[o.home]) return e;
+  e.at = static_cast<char*>(o.data) + k * 8;
+  e.charge = socket == o.home ? m.local8 : m.remote8;
+  return e;
+}
+
+}  // namespace
+
+// Threaded dispatch (labels as values, GCC and Clang): every handler ends in
+// its own indirect jump to the next instruction's handler, and a fused second
+// slot dispatches through a table of its own.
 Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
                                    std::int32_t end,
                                    std::int32_t trailingConsts, RtVal* F,
                                    RankRun& rr) {
   // Stable for the duration of this range: every nested construct restores
   // rr.ts before returning.
-  psim::WorkerCtx& w = rr.ts->w;
-  const ExecInst* const code = p.code.data();
+  ThreadState& ts = *rr.ts;
+  psim::WorkerCtx& w = ts.w;
+  // The clock lives in `clk` while the range runs; a charge is `clk += cost
+  // * dil`, WorkerCtx::advance's expression. It is written back to w.clock
+  // before every callout (complex ops, calls, nested ranges, Return, the
+  // slow memory path, a failing check, the range-exit probes) and read back
+  // after, so nothing outside this loop ever sees a stale clock.
+  double clk = w.clock;
+  const double dil = w.dilation;
+  const int socket = w.socket;
+  const psim::ObjViewTable& views = machine_.mem().views();
+  const psim::Machine::MemCharge* const memo = machine_.memCharges();
+  const int* const workers = machine_.workerCounts();
   // Dispatch count lives in a register for the loop's duration; every exit
   // path below flushes it (exception paths need not: RunStats is only
   // updated when a run completes).
   std::uint64_t nd = 0;
-  for (; pc < end; ++pc) {
-    const ExecInst& in = code[pc];
-    nd += 1 + static_cast<std::uint64_t>(in.constsBefore);
-    const std::int32_t* ops =
-        in.poolBase >= 0 ? p.pool.data() + in.poolBase : in.a.data();
-    auto V = [&](std::size_t i) -> RtVal& {
-      return F[static_cast<std::size_t>(ops[i])];
-    };
-    auto setF = [&](double v) {
-      F[static_cast<std::size_t>(in.result)].u.f = v;
-    };
-    auto setI = [&](i64 v) { F[static_cast<std::size_t>(in.result)].u.i = v; };
-    auto setB = [&](bool v) {
-      F[static_cast<std::size_t>(in.result)].u.i = v ? 1 : 0;
-    };
-    auto setP = [&](RtPtr ptr) {
-      F[static_cast<std::size_t>(in.result)].u.p = ptr;
-    };
+  const ExecInst* ip = p.code.data() + pc;
+  const ExecInst* const stop = p.code.data() + end;
 
-    switch (in.op) {
-      case Op::ConstF: setF(in.fconst); break;
-      case Op::ConstI: setI(in.iconst); break;
-      case Op::ConstB: setI(in.iconst); break;
+#define PARAD_MAIN(name) &&op_##name,
+#define PARAD_COMPLEX(name) &&op_complex,
+#define PARAD_FUSED(name) &&fz_##name,
+#define PARAD_NOT_FUSED(name) &&fz_bad,
+  static const void* const kMain[] = {
+      PARAD_EXEC_OPS(PARAD_MAIN, PARAD_MAIN, PARAD_COMPLEX)};
+  static const void* const kFused[] = {
+      PARAD_EXEC_OPS(PARAD_FUSED, PARAD_NOT_FUSED, PARAD_NOT_FUSED)};
+#undef PARAD_MAIN
+#undef PARAD_COMPLEX
+#undef PARAD_FUSED
+#undef PARAD_NOT_FUSED
 
-      case Op::FAdd: w.advance(ct_.flop); setF(V(0).u.f + V(1).u.f); break;
-      case Op::FSub: w.advance(ct_.flop); setF(V(0).u.f - V(1).u.f); break;
-      case Op::FMul: w.advance(ct_.flop); setF(V(0).u.f * V(1).u.f); break;
-      case Op::FDiv: w.advance(ct_.fdiv); setF(V(0).u.f / V(1).u.f); break;
-      case Op::FNeg: w.advance(ct_.flop); setF(-V(0).u.f); break;
-      case Op::Sqrt: w.advance(ct_.special); setF(std::sqrt(V(0).u.f)); break;
-      case Op::Sin: w.advance(ct_.special); setF(std::sin(V(0).u.f)); break;
-      case Op::Cos: w.advance(ct_.special); setF(std::cos(V(0).u.f)); break;
-      case Op::Exp: w.advance(ct_.special); setF(std::exp(V(0).u.f)); break;
-      case Op::Log: w.advance(ct_.special); setF(std::log(V(0).u.f)); break;
-      case Op::Cbrt: w.advance(ct_.special); setF(std::cbrt(V(0).u.f)); break;
-      case Op::Pow:
-        w.advance(ct_.powCost);
-        setF(std::pow(V(0).u.f, V(1).u.f));
-        break;
-      case Op::FAbs: w.advance(ct_.minmax); setF(std::fabs(V(0).u.f)); break;
-      case Op::FMin:
-        w.advance(ct_.minmax);
-        setF(std::min(V(0).u.f, V(1).u.f));
-        break;
-      case Op::FMax:
-        w.advance(ct_.minmax);
-        setF(std::max(V(0).u.f, V(1).u.f));
-        break;
+// Enters the instruction at ip, or leaves the range at its end.
+#define DISPATCH()                                                \
+  do {                                                            \
+    if (ip == stop) goto rangeEnd;                                \
+    nd += 1 + static_cast<std::uint64_t>(ip->constsBefore);       \
+    goto *kMain[static_cast<std::size_t>(ip->op)];                \
+  } while (0)
+#define NEXT()  \
+  do {          \
+    ++ip;       \
+    DISPATCH(); \
+  } while (0)
+// Only arithmetic heads can carry a fused second slot (lower.cpp pairs
+// fusable ops only), so only their handlers test op2.
+#define NEXT_PAIR()                                                    \
+  do {                                                                 \
+    if (ip->op2 >= 0) goto *kFused[static_cast<std::size_t>(ip->op2)]; \
+    NEXT();                                                            \
+  } while (0)
+#define SYNC_OUT() (w.clock = clk)
+#define SYNC_IN() (clk = w.clock)
+#define CHARGE(cost) (clk += ct_.cost * dil)
+#define IN(i) F[ip->a[i]]
+// One definition per arithmetic op, expanded for the main slot (operands a,
+// result) and for the fused slot (a2, result2 and the consts folded between
+// the pair). The operands are X(i), the result R.
+#define ARITH(name, body)                                 \
+  op_##name : {                                           \
+    const std::int32_t* const A = ip->a.data();           \
+    RtVal& R = F[ip->result];                             \
+    body;                                                 \
+    NEXT_PAIR();                                          \
+  }                                                       \
+  fz_##name : {                                           \
+    nd += 1 + static_cast<std::uint64_t>(ip->consts2);    \
+    const std::int32_t* const A = ip->a2.data();          \
+    RtVal& R = F[ip->result2];                            \
+    body;                                                 \
+    NEXT();                                               \
+  }
+#define X(i) F[A[i]]
+#define MATH(op, x, y)                                 \
+  do {                                                 \
+    const MathOut m = mathOp(Op::op, (x), (y), clk);   \
+    clk = m.clk;                                       \
+    R.u.f = m.v;                                       \
+  } while (0)
+#define SETB(cond) (R.u.i = (cond) ? 1 : 0)
 
-      case Op::IAdd: w.advance(ct_.intOp); setI(V(0).u.i + V(1).u.i); break;
-      case Op::ISub: w.advance(ct_.intOp); setI(V(0).u.i - V(1).u.i); break;
-      case Op::IMul: w.advance(ct_.intOp); setI(V(0).u.i * V(1).u.i); break;
-      case Op::IDiv:
-        w.advance(ct_.intDiv);
-        PARAD_CHECK(V(1).u.i != 0, "integer division by zero");
-        setI(V(0).u.i / V(1).u.i);
-        break;
-      case Op::IRem:
-        w.advance(ct_.intDiv);
-        PARAD_CHECK(V(1).u.i != 0, "integer remainder by zero");
-        setI(V(0).u.i % V(1).u.i);
-        break;
-      case Op::IMinOp:
-        w.advance(ct_.intOp);
-        setI(std::min(V(0).u.i, V(1).u.i));
-        break;
-      case Op::IMaxOp:
-        w.advance(ct_.intOp);
-        setI(std::max(V(0).u.i, V(1).u.i));
-        break;
+  DISPATCH();
 
-      case Op::ICmpEq: w.advance(ct_.intOp); setB(V(0).u.i == V(1).u.i); break;
-      case Op::ICmpNe: w.advance(ct_.intOp); setB(V(0).u.i != V(1).u.i); break;
-      case Op::ICmpLt: w.advance(ct_.intOp); setB(V(0).u.i < V(1).u.i); break;
-      case Op::ICmpLe: w.advance(ct_.intOp); setB(V(0).u.i <= V(1).u.i); break;
-      case Op::ICmpGt: w.advance(ct_.intOp); setB(V(0).u.i > V(1).u.i); break;
-      case Op::ICmpGe: w.advance(ct_.intOp); setB(V(0).u.i >= V(1).u.i); break;
-      case Op::FCmpLt: w.advance(ct_.intOp); setB(V(0).u.f < V(1).u.f); break;
-      case Op::FCmpLe: w.advance(ct_.intOp); setB(V(0).u.f <= V(1).u.f); break;
-      case Op::FCmpGt: w.advance(ct_.intOp); setB(V(0).u.f > V(1).u.f); break;
-      case Op::FCmpGe: w.advance(ct_.intOp); setB(V(0).u.f >= V(1).u.f); break;
-      case Op::FCmpEq: w.advance(ct_.intOp); setB(V(0).u.f == V(1).u.f); break;
+  op_ConstF: F[ip->result].u.f = ip->fconst; NEXT();
+  op_ConstI: F[ip->result].u.i = ip->iconst; NEXT();
+  op_ConstB: F[ip->result].u.i = ip->iconst; NEXT();
 
-      case Op::BAnd: w.advance(ct_.intOp); setB(V(0).u.i && V(1).u.i); break;
-      case Op::BOr: w.advance(ct_.intOp); setB(V(0).u.i || V(1).u.i); break;
-      case Op::BNot: w.advance(ct_.intOp); setB(!V(0).u.i); break;
-      case Op::Select:
-        w.advance(ct_.intOp);
-        F[static_cast<std::size_t>(in.result)] = V(0).u.i ? V(1) : V(2);
-        break;
-      case Op::IToF:
-        w.advance(ct_.intOp);
-        setF(static_cast<double>(V(0).u.i));
-        break;
-      case Op::FToI:
-        w.advance(ct_.intOp);
-        setI(static_cast<i64>(V(0).u.f));
-        break;
+  ARITH(FAdd, CHARGE(flop); R.u.f = X(0).u.f + X(1).u.f)
+  ARITH(FSub, CHARGE(flop); R.u.f = X(0).u.f - X(1).u.f)
+  ARITH(FMul, CHARGE(flop); R.u.f = X(0).u.f * X(1).u.f)
+  ARITH(FDiv, CHARGE(fdiv); R.u.f = X(0).u.f / X(1).u.f)
+  ARITH(FNeg, CHARGE(flop); R.u.f = -X(0).u.f)
+  ARITH(Sqrt, CHARGE(special); MATH(Sqrt, X(0).u.f, 0.0))
+  ARITH(Sin, CHARGE(special); MATH(Sin, X(0).u.f, 0.0))
+  ARITH(Cos, CHARGE(special); MATH(Cos, X(0).u.f, 0.0))
+  ARITH(Exp, CHARGE(special); MATH(Exp, X(0).u.f, 0.0))
+  ARITH(Log, CHARGE(special); MATH(Log, X(0).u.f, 0.0))
+  ARITH(Pow, CHARGE(powCost); MATH(Pow, X(0).u.f, X(1).u.f))
+  ARITH(FAbs, CHARGE(minmax); R.u.f = std::fabs(X(0).u.f))
+  ARITH(FMin, CHARGE(minmax); R.u.f = std::min(X(0).u.f, X(1).u.f))
+  ARITH(FMax, CHARGE(minmax); R.u.f = std::max(X(0).u.f, X(1).u.f))
+  ARITH(Cbrt, CHARGE(special); MATH(Cbrt, X(0).u.f, 0.0))
 
-      case Op::Load:
-        loadElem(w, V(0).u.p, V(1).u.i,
-                 F[static_cast<std::size_t>(in.result)]);
-        break;
-      case Op::Store: storeElem(w, V(0).u.p, V(1).u.i, V(2)); break;
-      case Op::PtrOffset: {
-        w.advance(ct_.intOp);
-        RtPtr ptr = V(0).u.p;
-        ptr.off += V(1).u.i;
-        setP(ptr);
-        break;
+  ARITH(IAdd, CHARGE(intOp); R.u.i = X(0).u.i + X(1).u.i)
+  ARITH(ISub, CHARGE(intOp); R.u.i = X(0).u.i - X(1).u.i)
+  ARITH(IMul, CHARGE(intOp); R.u.i = X(0).u.i * X(1).u.i)
+  ARITH(IDiv, CHARGE(intDiv); if (X(1).u.i == 0) {
+    SYNC_OUT();
+    fail("integer division by zero");
+  } R.u.i = X(0).u.i / X(1).u.i)
+  ARITH(IRem, CHARGE(intDiv); if (X(1).u.i == 0) {
+    SYNC_OUT();
+    fail("integer remainder by zero");
+  } R.u.i = X(0).u.i % X(1).u.i)
+  ARITH(IMinOp, CHARGE(intOp); R.u.i = std::min(X(0).u.i, X(1).u.i))
+  ARITH(IMaxOp, CHARGE(intOp); R.u.i = std::max(X(0).u.i, X(1).u.i))
+
+  ARITH(ICmpEq, CHARGE(intOp); SETB(X(0).u.i == X(1).u.i))
+  ARITH(ICmpNe, CHARGE(intOp); SETB(X(0).u.i != X(1).u.i))
+  ARITH(ICmpLt, CHARGE(intOp); SETB(X(0).u.i < X(1).u.i))
+  ARITH(ICmpLe, CHARGE(intOp); SETB(X(0).u.i <= X(1).u.i))
+  ARITH(ICmpGt, CHARGE(intOp); SETB(X(0).u.i > X(1).u.i))
+  ARITH(ICmpGe, CHARGE(intOp); SETB(X(0).u.i >= X(1).u.i))
+  ARITH(FCmpLt, CHARGE(intOp); SETB(X(0).u.f < X(1).u.f))
+  ARITH(FCmpLe, CHARGE(intOp); SETB(X(0).u.f <= X(1).u.f))
+  ARITH(FCmpGt, CHARGE(intOp); SETB(X(0).u.f > X(1).u.f))
+  ARITH(FCmpGe, CHARGE(intOp); SETB(X(0).u.f >= X(1).u.f))
+  ARITH(FCmpEq, CHARGE(intOp); SETB(X(0).u.f == X(1).u.f))
+
+  ARITH(BAnd, CHARGE(intOp); SETB(X(0).u.i && X(1).u.i))
+  ARITH(BOr, CHARGE(intOp); SETB(X(0).u.i || X(1).u.i))
+  ARITH(BNot, CHARGE(intOp); SETB(!X(0).u.i))
+  ARITH(Select, CHARGE(intOp); R = X(0).u.i ? X(1) : X(2))
+  ARITH(IToF, CHARGE(intOp); R.u.f = static_cast<double>(X(0).u.i))
+  ARITH(FToI, CHARGE(intOp); R.u.i = static_cast<i64>(X(0).u.f))
+  ARITH(PtrOffset, CHARGE(intOp); RtPtr q = X(0).u.p; q.off += X(1).u.i;
+        R.u.p = q)
+
+  op_Load: {
+    const RtPtr ptr = IN(0).u.p;
+    const i64 idx = IN(1).u.i;
+    RtVal& dst = F[ip->result];
+    const FastElem e = fastElem(views, memo, workers, socket, ptr, idx);
+    if (e.at != nullptr) {
+      clk += e.charge * dil;
+      std::memcpy(&dst.u.i, e.at, 8);
+    } else {
+      SYNC_OUT();
+      loadElem(w, ptr, idx, dst);
+      SYNC_IN();
+    }
+    NEXT();
+  }
+  op_Store: {
+    const RtPtr ptr = IN(0).u.p;
+    const i64 idx = IN(1).u.i;
+    const RtVal& v = IN(2);
+    const FastElem e = fastElem(views, memo, workers, socket, ptr, idx);
+    if (e.at != nullptr) {
+      clk += e.charge * dil;
+      std::memcpy(e.at, &v.u.i, 8);
+    } else {
+      SYNC_OUT();
+      storeElem(w, ptr, idx, v);
+      SYNC_IN();
+    }
+    NEXT();
+  }
+
+  op_Call:
+    SYNC_OUT();
+    {
+      if (ip->trap >= 0)
+        fail(xm_.trapMsgs[static_cast<std::size_t>(ip->trap)]);
+      const ExecProgram& callee =
+          xm_.programs[static_cast<std::size_t>(ip->callee)];
+      // The only op whose operands can spill into the pool (wide calls).
+      const std::int32_t* ops =
+          ip->poolBase >= 0 ? p.pool.data() + ip->poolBase : ip->a.data();
+      RtVal argBuf[ExecInst::kInlineOps];
+      const RtVal* argPtr = argBuf;
+      std::vector<RtVal> argVec;
+      if (ip->nOps <= ExecInst::kInlineOps) {
+        for (std::size_t i = 0; i < ip->nOps; ++i) argBuf[i] = F[ops[i]];
+      } else {
+        argVec.reserve(ip->nOps);
+        for (std::size_t i = 0; i < ip->nOps; ++i) argVec.push_back(F[ops[i]]);
+        argPtr = argVec.data();
       }
-      case Op::Call: {
-        if (in.trap >= 0) fail(xm_.trapMsgs[static_cast<std::size_t>(in.trap)]);
-        const ExecProgram& callee =
-            xm_.programs[static_cast<std::size_t>(in.callee)];
-        RtVal argBuf[ExecInst::kInlineOps];
-        const RtVal* argPtr;
-        std::vector<RtVal> argVec;
-        if (in.nOps <= ExecInst::kInlineOps) {
-          for (std::size_t i = 0; i < in.nOps; ++i) argBuf[i] = V(i);
-          argPtr = argBuf;
-        } else {
-          argVec.reserve(in.nOps);
-          for (std::size_t i = 0; i < in.nOps; ++i) argVec.push_back(V(i));
-          argPtr = argVec.data();
-        }
-        RtVal out = callProgram(callee, argPtr, in.nOps, rr);
-        if (in.result >= 0) F[static_cast<std::size_t>(in.result)] = out;
-        break;
-      }
-      case Op::CallIndirect:
-        fail(xm_.trapMsgs[static_cast<std::size_t>(in.trap)]);
-      case Op::Return:
-        if (in.nOps > 0) rr.retVal = V(0);
+      RtVal out = callProgram(callee, argPtr, ip->nOps, rr);
+      if (ip->result >= 0) F[ip->result] = out;
+    }
+    SYNC_IN();
+    NEXT();
+  op_CallIndirect:
+  op_OmpParallelFor:
+    SYNC_OUT();
+    fail(xm_.trapMsgs[static_cast<std::size_t>(ip->trap)]);
+  op_Return:
+    if (ip->nOps > 0) rr.retVal = IN(0);
+    SYNC_OUT();
+    rr.insts += nd;
+    return Flow::Return;
+
+  op_For: {
+    const i64 lo = IN(0).u.i, hi = IN(1).u.i;
+    const ExecBlock& body = p.blocks[static_cast<std::size_t>(ip->blockA)];
+    SYNC_OUT();
+    for (i64 i = lo; i < hi; ++i) {
+      F[body.arg] = RtVal::I(i);
+      w.advance(ct_.loopIter);
+      if (execRange(p, body.begin, body.end, body.trailingConsts, F, rr) ==
+          Flow::Return) {
         rr.insts += nd;
         return Flow::Return;
-
-      case Op::For: {
-        i64 lo = V(0).u.i, hi = V(1).u.i;
-        const ExecBlock& body = p.blocks[static_cast<std::size_t>(in.blockA)];
-        for (i64 i = lo; i < hi; ++i) {
-          F[static_cast<std::size_t>(body.arg)] = RtVal::I(i);
-          w.advance(ct_.loopIter);
-          if (execRange(p, body.begin, body.end, body.trailingConsts, F,
-                        rr) == Flow::Return)
-            {
-            rr.insts += nd;
-            return Flow::Return;
-          }
-        }
-        break;
       }
-      case Op::While: {
-        const ExecBlock& body = p.blocks[static_cast<std::size_t>(in.blockA)];
-        for (i64 iter = 0;; ++iter) {
-          PARAD_CHECK(iter < (i64(1) << 32), "runaway while loop");
-          F[static_cast<std::size_t>(body.arg)] = RtVal::I(iter);
-          w.advance(ct_.loopIter);
-          rr.yield = false;
-          if (execRange(p, body.begin, body.end, body.trailingConsts, F,
-                        rr) == Flow::Return)
-            {
-            rr.insts += nd;
-            return Flow::Return;
-          }
-          if (!rr.yield) break;
-        }
-        break;
-      }
-      case Op::Yield:
-        rr.yield = V(0).u.i != 0;
-        break;
-      case Op::If: {
-        w.advance(ct_.intOp);
-        if (execBlock(p, V(0).u.i ? in.blockA : in.blockB, F, rr) ==
-            Flow::Return) {
-          rr.insts += nd;
-          return Flow::Return;
-        }
-        break;
-      }
-
-      case Op::Workshare: {
-        i64 lo = V(0).u.i, hi = V(1).u.i;
-        const ExecBlock& body = p.blocks[static_cast<std::size_t>(in.blockA)];
-        int tid = rr.ts->tid, n = rr.ts->nthreads;
-        w.advance(ct_.workshareInit);
-        i64 len = hi - lo;
-        if (len <= 0) break;
-        i64 chunk = (len + n - 1) / n;
-        i64 begin = lo + tid * chunk;
-        i64 wsEnd = std::min(hi, begin + chunk);
-        bool reversed = in.iconst != 0;
-        for (i64 k = begin; k < wsEnd; ++k) {
-          i64 i = reversed ? wsEnd - 1 - (k - begin) : k;
-          F[static_cast<std::size_t>(body.arg)] = RtVal::I(i);
-          w.advance(ct_.loopIter);
-          Flow fl =
-              execRange(p, body.begin, body.end, body.trailingConsts, F, rr);
-          PARAD_CHECK(fl == Flow::Normal, "return out of a workshare body");
-        }
-        break;
-      }
-      case Op::BarrierOp:
-        // Handled structurally by the fork's precompiled segmentation.
-        PARAD_UNREACHABLE("barrier outside fork segmentation");
-      case Op::ThreadIdOp: setI(rr.ts->tid); break;
-      case Op::NumThreadsOp:
-        // Inside a fork: the team size. Outside: the default team size (used
-        // e.g. to size thread-indexed AD caches before entering the fork).
-        setI(rr.ts->nthreads > 1 ? rr.ts->nthreads : rr.env->threadsPerRank);
-        break;
-
-      case Op::MpRank: setI(rr.env->rank); break;
-      case Op::MpSize: setI(rr.env->ranks); break;
-
-      case Op::OmpParallelFor:
-        fail(xm_.trapMsgs[static_cast<std::size_t>(in.trap)]);
-
-      // Machine-state instructions: one implementation shared with the
-      // codegen backend's complex-op callback (see exec.h).
-      case Op::Alloc:
-      case Op::Free:
-      case Op::AtomicAddF:
-      case Op::Memset0:
-      case Op::Spawn:
-      case Op::SyncOp:
-      case Op::MpIsend:
-      case Op::MpIrecv:
-      case Op::MpWaitOp:
-      case Op::MpSend:
-      case Op::MpRecv:
-      case Op::MpAllreduce:
-      case Op::MpBarrier:
-      case Op::JlAllocArray:
-      case Op::ParallelFor:
-      case Op::Fork:
-        if (execComplexInst(p, in, F, rr) == Flow::Return) {
-          rr.insts += nd;
-          return Flow::Return;
-        }
-        break;
-
-      case Op::GcPreserveBegin:
-        w.advance(ct_.gcCost);
-        setI(0);
-        break;
-      case Op::GcPreserveEnd:
-        w.advance(ct_.gcCost);
-        break;
     }
-    if (in.op2 >= 0) {
-      nd += 1 + static_cast<std::uint64_t>(in.consts2);
-      execFused(in, F, w, ct_);
-    }
+    SYNC_IN();
+    NEXT();
   }
+  op_While: {
+    const ExecBlock& body = p.blocks[static_cast<std::size_t>(ip->blockA)];
+    SYNC_OUT();
+    for (i64 iter = 0;; ++iter) {
+      PARAD_CHECK(iter < (i64(1) << 32), "runaway while loop");
+      F[body.arg] = RtVal::I(iter);
+      w.advance(ct_.loopIter);
+      rr.yield = false;
+      if (execRange(p, body.begin, body.end, body.trailingConsts, F, rr) ==
+          Flow::Return) {
+        rr.insts += nd;
+        return Flow::Return;
+      }
+      if (!rr.yield) break;
+    }
+    SYNC_IN();
+    NEXT();
+  }
+  op_Yield: rr.yield = IN(0).u.i != 0; NEXT();
+  op_If: {
+    CHARGE(intOp);
+    SYNC_OUT();
+    const Flow fl = execBlock(p, IN(0).u.i ? ip->blockA : ip->blockB, F, rr);
+    SYNC_IN();
+    if (fl == Flow::Return) {
+      rr.insts += nd;
+      return Flow::Return;
+    }
+    NEXT();
+  }
+
+  op_Workshare: {
+    const i64 lo = IN(0).u.i, hi = IN(1).u.i;
+    const ExecBlock& body = p.blocks[static_cast<std::size_t>(ip->blockA)];
+    const int tid = ts.tid, n = ts.nthreads;
+    CHARGE(workshareInit);
+    const i64 len = hi - lo;
+    if (len > 0) {
+      const i64 chunk = (len + n - 1) / n;
+      const i64 begin = lo + tid * chunk;
+      const i64 wsEnd = std::min(hi, begin + chunk);
+      const bool reversed = ip->iconst != 0;
+      SYNC_OUT();
+      for (i64 k = begin; k < wsEnd; ++k) {
+        const i64 i = reversed ? wsEnd - 1 - (k - begin) : k;
+        F[body.arg] = RtVal::I(i);
+        w.advance(ct_.loopIter);
+        const Flow fl =
+            execRange(p, body.begin, body.end, body.trailingConsts, F, rr);
+        PARAD_CHECK(fl == Flow::Normal, "return out of a workshare body");
+      }
+      SYNC_IN();
+    }
+    NEXT();
+  }
+  op_BarrierOp:
+    // Handled structurally by the fork's precompiled segmentation.
+    SYNC_OUT();
+    PARAD_UNREACHABLE("barrier outside fork segmentation");
+  op_ThreadIdOp: F[ip->result].u.i = ts.tid; NEXT();
+  op_NumThreadsOp:
+    // Inside a fork: the team size. Outside: the default team size (used
+    // e.g. to size thread-indexed AD caches before entering the fork).
+    F[ip->result].u.i = ts.nthreads > 1 ? ts.nthreads : rr.env->threadsPerRank;
+    NEXT();
+
+  op_MpRank: F[ip->result].u.i = rr.env->rank; NEXT();
+  op_MpSize: F[ip->result].u.i = rr.env->ranks; NEXT();
+
+  op_GcPreserveBegin:
+    CHARGE(gcCost);
+    F[ip->result].u.i = 0;
+    NEXT();
+  op_GcPreserveEnd:
+    CHARGE(gcCost);
+    NEXT();
+
+  // Machine-state instructions: one implementation shared with the codegen
+  // backend's complex-op callback (see exec.h).
+  op_complex: {
+    SYNC_OUT();
+    const Flow fl = execComplexInst(p, *ip, F, rr);
+    SYNC_IN();
+    if (fl == Flow::Return) {
+      rr.insts += nd;
+      return Flow::Return;
+    }
+    NEXT();
+  }
+
+  fz_bad:
+    SYNC_OUT();
+    PARAD_UNREACHABLE("non-arithmetic op in fused slot");
+
+rangeEnd:
+  SYNC_OUT();
+#undef DISPATCH
+#undef NEXT
+#undef NEXT_PAIR
+#undef SYNC_OUT
+#undef SYNC_IN
+#undef CHARGE
+#undef IN
+#undef ARITH
+#undef X
+#undef MATH
+#undef SETB
   rr.insts += nd + static_cast<std::uint64_t>(trailingConsts);
   // Kill probe, gated to the rank's root thread: fork paths adjust worker
   // counts non-RAII, so unwinding a crash from inside a parallel region

@@ -1,5 +1,6 @@
-// Execution layer of the pipeline (DESIGN.md §9): a tight dispatch loop over
-// the flat ExecProgram produced by lower.h.
+// Execution layer of the pipeline (DESIGN.md §9): a threaded dispatch loop
+// over the flat ExecProgram produced by lower.h, with the virtual clock in a
+// register and a view-table fast path for loads and stores.
 //
 // The Executor mirrors the tree-walking reference engine case for case —
 // same charge formulas (via the psim::CostTable folded per MachineConfig),
@@ -83,19 +84,20 @@ class Executor {
 
   /// Executes one machine-state instruction (alloc/free/atomics/memset,
   /// spawn/sync, message passing, fork, parallel for, boxed allocs) — the
-  /// single implementation both the dispatch loop's switch and the codegen
-  /// backend's complex-op callback funnel through, so every backend charges
-  /// and mutates machine state identically. Does NOT touch rr.insts: the
-  /// caller owns dispatch counting. `F` is the frame of the executing
-  /// function: a heap frame for the interpreting engines, a native-stack
-  /// array for a codegen direct call.
+  /// single implementation both the dispatch loop's complex-op handler and
+  /// the codegen backend's complex-op callback funnel through, so every
+  /// backend charges and mutates machine state identically. Does NOT touch
+  /// rr.insts: the caller owns dispatch counting. `F` is the frame of the
+  /// executing function: a heap frame for the interpreting engines, a
+  /// native-stack array for a codegen direct call.
   Flow execComplexInst(const ExecProgram& p, const ExecInst& in, RtVal* F,
                        RankRun& rr);
 
   /// Load and Store: object lookup, the 8-byte memory charge, the bounds
-  /// check and the element-type switch, in that order. The dispatch loop
-  /// and the codegen backend's slow path both come here, so they charge and
-  /// fail identically. A load writes only the loaded member of `dst`.
+  /// check and the element-type switch, in that order. Every access the
+  /// view-table fast path declines (exec's dispatch loop and generated
+  /// code both make that check) comes here, so all engines charge and fail
+  /// identically. A load writes only the loaded member of `dst`.
   void loadElem(psim::WorkerCtx& w, psim::RtPtr ptr, i64 idx, RtVal& dst) {
     psim::MemObject& o = machine_.mem().get(ptr);
     machine_.chargeMem(w, o.homeSocket, 8);

@@ -63,8 +63,8 @@ namespace {
 // Ops eligible for superinstruction pairing: region-free frame arithmetic
 // whose execution touches only the frame and the worker clock (no memory
 // manager, no scheduler state, no thread identity). Two adjacent fusable
-// instructions share one dispatch-loop iteration in the executor; every op
-// listed here has a mirrored case in exec.cpp's execFused.
+// instructions share one dispatch in the executor; every op listed here is
+// an `A` entry of exec.cpp's PARAD_EXEC_OPS, with a fused-slot handler.
 bool fusableOp(Op op) {
   switch (op) {
     case Op::FAdd: case Op::FSub: case Op::FMul: case Op::FDiv:

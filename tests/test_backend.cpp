@@ -319,12 +319,15 @@ TEST(Codegen, EmitClosureSourceIsSelfContained) {
 // misreport, so they skip explicitly.
 
 bool hostCompilerAvailable() {
-  ir::Module probe = arithModule(123.456);  // unlikely to collide
-  CodegenSandbox sandbox;
-  (void)runWith(probe, "codegen");
-  return interp::CodegenCache::global().counters().fallbacks == 0 ||
-         interp::CodegenCache::global().remarksDump().find(
-             "no usable host compiler") == std::string::npos;
+  static const bool available = [] {
+    ir::Module probe = arithModule(123.456);  // unlikely to collide
+    CodegenSandbox sandbox;
+    (void)runWith(probe, "codegen");
+    return interp::CodegenCache::global().counters().fallbacks == 0 ||
+           interp::CodegenCache::global().remarksDump().find(
+               "no usable host compiler") == std::string::npos;
+  }();
+  return available;
 }
 
 TEST(Codegen, CompileOnceThenMemoryHitThenDiskReuse) {
@@ -414,6 +417,54 @@ TEST(Codegen, StaleFingerprintArtifactIsInvalidated) {
   EXPECT_EQ(cache.counters().compiles, compiles + 1);
   EXPECT_NE(cache.remarksDump().find("fingerprint mismatch"),
             std::string::npos);
+}
+
+TEST(Codegen, ChangedSourceUnderSameFingerprintRecompiles) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  auto& cache = interp::CodegenCache::global();
+  // f calls scale directly, so scale's folded constant is written by the
+  // generated call wrapper.
+  ir::Module mod;
+  {
+    ir::FunctionBuilder g(mod, "scale", {Type::F64}, Type::F64);
+    g.ret(g.fmul(g.param(0), g.constF(2.5)));
+    g.finish();
+  }
+  ir::FunctionBuilder b(mod, "f", {Type::PtrF64, Type::I64}, Type::F64);
+  b.ret(b.call("scale", {b.load(b.param(0), b.constI(0))}));
+  b.finish();
+  auto xm = interp::compileClosure(mod, mod.get("f"));
+  ASSERT_NE(cache.lookup(*xm), nullptr);
+
+  // One folded constant changed, every program fingerprint kept: the same
+  // closure fingerprint with different emitted code, which is what an
+  // emitter change made without a generator-version bump looks like.
+  interp::ExecModule edited = *xm;
+  auto& inits =
+      edited.programs[static_cast<std::size_t>(edited.indexOf.at("scale"))]
+          .constInits;
+  auto it = std::find_if(inits.begin(), inits.end(),
+                         [](const interp::ConstInit& ci) { return ci.isF; });
+  ASSERT_NE(it, inits.end());
+  it->f += 1.0;
+  ASSERT_EQ(interp::closureFingerprint(edited),
+            interp::closureFingerprint(*xm));
+  EXPECT_NE(cache.artifactKey(edited), cache.artifactKey(*xm));
+
+  // A fresh process against the warm directory must compile the edited
+  // closure, not load the object built from the original source.
+  cache.clear();
+  auto c0 = cache.counters();
+  ASSERT_NE(cache.lookup(edited), nullptr);
+  auto c1 = cache.counters();
+  EXPECT_EQ(c1.compiles, c0.compiles + 1);
+  EXPECT_EQ(c1.diskHits, c0.diskHits);
+  // Both objects now live side by side; the original still loads its own.
+  cache.clear();
+  ASSERT_NE(cache.lookup(*xm), nullptr);
+  EXPECT_EQ(cache.counters().diskHits, c1.diskHits + 1);
+  EXPECT_EQ(cache.counters().compiles, c1.compiles);
 }
 
 TEST(Codegen, PassMutationRelowersAndRecompiles) {
@@ -635,21 +686,56 @@ Outcome runKernel(const ir::Module& mod, std::string_view engine,
   return o;
 }
 
-/// Runs `mod` on exec and on generated code (which must not fall back) and
-/// expects identical outcomes; returns exec's.
-Outcome expectCodegenMatchesExec(const ir::Module& mod,
-                                 const RunSpec& spec = {}) {
+/// An error's last clause ("index 5 of 5", "use after free (object id 3)").
+/// Each engine's checks name their own file and line, and the reference
+/// engine words bounds errors through the memory manager's accessors, so
+/// only this part is comparable between tree and exec.
+std::string errorGist(const std::string& error) {
+  std::size_t k = error.rfind(": ");
+  return k == std::string::npos ? error : error.substr(k + 2);
+}
+
+/// Expects `got` to match `want` in every observable. `sameProbes`: both
+/// engines run the kill and watchdog probes at range exits (exec, codegen).
+/// The reference engine probes before every instruction instead, so against
+/// it a kill fires at a slightly different clock and a replayed run's
+/// makespan is not comparable; and its checks carry their own locations and
+/// wording, so errors compare by their gist.
+void expectSameOutcome(const Outcome& got, const Outcome& want,
+                       bool sameProbes) {
+  if (sameProbes) {
+    EXPECT_EQ(got.error, want.error);
+  } else {
+    EXPECT_EQ(errorGist(got.error), errorGist(want.error))
+        << got.error << "\n" << want.error;
+  }
+  EXPECT_EQ(got.ret, want.ret);
+  EXPECT_EQ(got.x, want.x);
+  if (sameProbes || want.restores == 0) {
+    EXPECT_EQ(got.makespan, want.makespan);
+  }
+  EXPECT_EQ(got.insts, want.insts);
+  EXPECT_EQ(got.restores, want.restores);
+}
+
+/// Runs `mod` on the reference engine (tree) and on exec and expects them
+/// to agree, which checks exec's memory fast path and register-resident
+/// clock; then, when a host compiler exists, on generated code (which must
+/// not fall back), which must match exec exactly, error text included.
+/// Returns exec's outcome.
+Outcome expectEnginesMatch(const ir::Module& mod, const RunSpec& spec = {}) {
   Outcome want = runKernel(mod, "exec", spec);
+  {
+    SCOPED_TRACE("tree vs exec");
+    expectSameOutcome(runKernel(mod, "tree", spec), want, false);
+  }
+  if (!hostCompilerAvailable()) return want;
+  SCOPED_TRACE("codegen vs exec");
   auto& cache = interp::CodegenCache::global();
   std::uint64_t fallbacks = cache.counters().fallbacks;
   Outcome got = runKernel(mod, "codegen", spec);
   EXPECT_EQ(cache.counters().fallbacks, fallbacks) << cache.remarksDump();
-  EXPECT_EQ(got.error, want.error);
-  EXPECT_EQ(got.ret, want.ret);
-  EXPECT_EQ(got.x, want.x);
-  EXPECT_EQ(got.makespan, want.makespan);
-  EXPECT_EQ(got.insts, want.insts);
-  EXPECT_EQ(got.restores, want.restores);
+  expectSameOutcome(got, want, true);
   return want;
 }
 
@@ -664,7 +750,6 @@ ir::Module kernel(
 }
 
 TEST(Codegen, FastPathFaultsRaiseExecErrors) {
-  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   CodegenSandbox sandbox;
   auto useAfterFree = [](bool store) {
     return kernel([store](ir::FunctionBuilder& b, Value x, Value n) {
@@ -700,7 +785,7 @@ TEST(Codegen, FastPathFaultsRaiseExecErrors) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    Outcome o = expectCodegenMatchesExec(c.mod);
+    Outcome o = expectEnginesMatch(c.mod);
     if (c.error == nullptr)
       EXPECT_EQ(o.error, "");
     else
@@ -709,7 +794,6 @@ TEST(Codegen, FastPathFaultsRaiseExecErrors) {
 }
 
 TEST(Codegen, I64AndPointerElementsMatchExec) {
-  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   CodegenSandbox sandbox;
   ir::Module mod = kernel([](ir::FunctionBuilder& b, Value x, Value n) {
     auto iv = b.alloc(n, Type::I64);
@@ -728,25 +812,23 @@ TEST(Codegen, I64AndPointerElementsMatchExec) {
     });
     return b.load(acc, b.constI(0));
   });
-  Outcome o = expectCodegenMatchesExec(mod);
+  Outcome o = expectEnginesMatch(mod);
   EXPECT_EQ(o.error, "");
   EXPECT_EQ(o.x[0][1], kInput[1] * 3);
 }
 
 TEST(Codegen, RemoteHomedObjectMatchesExec) {
-  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   CodegenSandbox sandbox;
   ir::Module mod = arithModule(61.5);
   RunSpec remote;
   remote.home = 1;  // the only worker runs on socket 0
-  Outcome far = expectCodegenMatchesExec(mod, remote);
-  Outcome near = expectCodegenMatchesExec(mod);
+  Outcome far = expectEnginesMatch(mod, remote);
+  Outcome near = expectEnginesMatch(mod);
   EXPECT_EQ(far.ret, near.ret);
   EXPECT_GT(far.makespan, near.makespan);  // remote latency was charged
 }
 
 TEST(Codegen, ForkSharerChangeRefoldsChargeMemo) {
-  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   CodegenSandbox sandbox;
   // 64 threads over both sockets: entering the fork raises each socket's
   // sharer count from 0 or 1 to 32 (a lower per-worker bandwidth, so a new
@@ -773,12 +855,11 @@ TEST(Codegen, ForkSharerChangeRefoldsChargeMemo) {
     RunSpec spec;
     spec.launch = {1, 64};
     spec.home = home;
-    EXPECT_EQ(expectCodegenMatchesExec(mod, spec).error, "");
+    EXPECT_EQ(expectEnginesMatch(mod, spec).error, "");
   }
 }
 
 TEST(Codegen, AllocMidRangeGrowsViewTable) {
-  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   CodegenSandbox sandbox;
   // Every iteration allocates and then, in the same range, loads from x and
   // from the new object: the view table grows (and moves) under the
@@ -794,11 +875,10 @@ TEST(Codegen, AllocMidRangeGrowsViewTable) {
     });
     return b.load(acc, b.constI(0));
   });
-  EXPECT_EQ(expectCodegenMatchesExec(mod).error, "");
+  EXPECT_EQ(expectEnginesMatch(mod).error, "");
 }
 
 TEST(Codegen, KillReplayResyncsViewTable) {
-  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   CodegenSandbox sandbox;
   // Each round allocates a scratch object, computes through it, frees it and
   // ends in a barrier (a checkpoint boundary). A rank kill rolls memory back
@@ -825,12 +905,12 @@ TEST(Codegen, KillReplayResyncsViewTable) {
   spec.mc.faults.enabled = true;  // also keeps a PARAD_FAULTS spec out
   spec.mc.faults.seed = 21;
   spec.mc.faults.ckptInterval = 1;
-  Outcome clean = expectCodegenMatchesExec(mod, spec);
+  Outcome clean = expectEnginesMatch(mod, spec);
   ASSERT_EQ(clean.error, "");
   spec.mc.faults.killRate = 0.6;
   spec.mc.faults.killNs = clean.makespan * 0.5;
   spec.mc.faults.retryBudget = 64;
-  Outcome faulty = expectCodegenMatchesExec(mod, spec);
+  Outcome faulty = expectEnginesMatch(mod, spec);
   ASSERT_EQ(faulty.error, "");
   EXPECT_GT(faulty.restores, 0u);
   EXPECT_EQ(faulty.x, clean.x);
@@ -847,7 +927,6 @@ std::string sourceOf(const ir::Module& mod) {
 }
 
 TEST(Codegen, LocalSurvivesViewTableGrowth) {
-  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   CodegenSandbox sandbox;
   // `v` is a C local of f's entry range; 40 Allocs (host ops) grow, and so
   // move, the view table between its definition and its reads.
@@ -862,14 +941,13 @@ TEST(Codegen, LocalSurvivesViewTableGrowth) {
     return b.fadd(v, b.load(last, b.constI(4)));
   });
   EXPECT_NE(sourceOf(mod).find("parad_cg_val v"), std::string::npos);
-  Outcome o = expectCodegenMatchesExec(mod);
+  Outcome o = expectEnginesMatch(mod);
   EXPECT_EQ(o.error, "");
   EXPECT_EQ(o.x[0][2], kInput[1] * 2.5);
   EXPECT_EQ(o.ret, kInput[1] * 2.5 * 2);
 }
 
 TEST(Codegen, ResolvedPointerFreedMidRangeRaisesUseAfterFree) {
-  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   CodegenSandbox sandbox;
   // `p` is resolved by its first load; the object is then freed by a host
   // op in the same range, or by a directly-called callee, and the next load
@@ -896,13 +974,12 @@ TEST(Codegen, ResolvedPointerFreedMidRangeRaisesUseAfterFree) {
   };
   for (bool viaCall : {false, true}) {
     SCOPED_TRACE(viaCall ? "freed by a callee" : "freed in the range");
-    Outcome o = expectCodegenMatchesExec(freedBy(viaCall));
+    Outcome o = expectEnginesMatch(freedBy(viaCall));
     EXPECT_NE(o.error.find("use after free"), std::string::npos) << o.error;
   }
 }
 
 TEST(Codegen, ForkSegmentValueCrossesBarrier) {
-  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   CodegenSandbox sandbox;
   // `a` is defined in segment 0 and read in segment 1, so it lives in the
   // frame and is saved and restored per thread; `w` is read only in segment
@@ -920,7 +997,7 @@ TEST(Codegen, ForkSegmentValueCrossesBarrier) {
   });
   RunSpec spec;
   spec.launch = {1, 4};
-  Outcome o = expectCodegenMatchesExec(mod, spec);
+  Outcome o = expectEnginesMatch(mod, spec);
   EXPECT_EQ(o.error, "");
   for (int t = 0; t < 4; ++t) {
     double w = kInput[static_cast<std::size_t>(t)] * 3.0;
@@ -929,7 +1006,6 @@ TEST(Codegen, ForkSegmentValueCrossesBarrier) {
 }
 
 TEST(Codegen, SelectOverPointerLocal) {
-  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   CodegenSandbox sandbox;
   // Both arms of the Select are pointers, and its result is a C local that
   // is resolved at its first access like any frame-resident pointer.
@@ -945,7 +1021,7 @@ TEST(Codegen, SelectOverPointerLocal) {
     auto c = pick(b.ilt(n, b.constI(3)));
     return b.fmul(a, c);
   });
-  Outcome o = expectCodegenMatchesExec(mod);
+  Outcome o = expectEnginesMatch(mod);
   EXPECT_EQ(o.error, "");
   EXPECT_EQ(o.ret, (kInput[3] + 1) * (-4.0 + 1));
 }
@@ -975,24 +1051,22 @@ ir::Module recursion(i64 depth) {
 }
 
 TEST(Codegen, DirectCallRecursionMatchesExecPastMaxCallDepth) {
-  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   CodegenSandbox sandbox;
   // f's call plus 510 nested ones is the deepest chain maxCallDepth (512)
   // admits; rec's frame fits on the native stack, so its calls are direct.
   ir::Module deep = recursion(510);
   EXPECT_NE(sourceOf(deep).find("static parad_cg_val c1("), std::string::npos);
-  Outcome ok = expectCodegenMatchesExec(deep);
+  Outcome ok = expectEnginesMatch(deep);
   EXPECT_EQ(ok.error, "");
   EXPECT_EQ(ok.ret, 510 * 0.5 + kInput[0]);
   // One level deeper fails with exec's error text, file and line included,
   // since the failing check is exec's own.
-  Outcome bad = expectCodegenMatchesExec(recursion(511));
+  Outcome bad = expectEnginesMatch(recursion(511));
   EXPECT_NE(bad.error.find("call depth limit exceeded"), std::string::npos)
       << bad.error;
 }
 
 TEST(Codegen, LargeFrameCalleeTakesHostPath) {
-  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   CodegenSandbox sandbox;
   // `wide` has over 512 values, more than a native-stack frame may hold, so
   // f calls it through the host; `small` is called directly.
@@ -1027,7 +1101,7 @@ TEST(Codegen, LargeFrameCalleeTakesHostPath) {
                      std::to_string(xm->indexOf.at("small")) + "("),
             std::string::npos);
   EXPECT_NE(src.find("c->api->call("), std::string::npos);
-  EXPECT_EQ(expectCodegenMatchesExec(mod).error, "");
+  EXPECT_EQ(expectEnginesMatch(mod).error, "");
 }
 
 TEST(Codegen, FallsBackToExecWithoutCompiler) {

@@ -301,6 +301,217 @@ TEST(ExecDiff, GradientOfParallelKernelAgrees) {
 }
 
 // ---------------------------------------------------------------------------
+// exec keeps the virtual clock in a local while a range runs and writes it
+// back around every callout. The round body below is one range that calls
+// out mid-range in every way the dispatch loop can: blocking send/recv, a
+// libm intrinsic, Alloc, a call through the operand pool (five arguments),
+// the slow Load/Store path, nested For/While/If, AtomicAddF, Free and a
+// barrier. Runs that trip the virtual-time watchdog and a scheduled rank
+// kill with replay exercise the range-exit probes.
+//
+// The reference engine probes before every instruction, exec (like
+// codegen) at range exits, so the clock a trip reports is only comparable
+// between the two where the crossing happens in the last instruction of a
+// nested block: both engines then probe the same clock next. Each round
+// therefore opens with a ping-pong whose sends and receives end their
+// blocks, and the watchdog bound falls in round 0's ping-pong. A kill's
+// instant is drawn from a window far wider than one ping-pong, so the
+// kill-replay run compares exec with tree on everything that does not
+// depend on where the probe sits, and with codegen (same probe points) bit
+// for bit.
+
+namespace {
+
+/// Two ranks, each with its own 6-element x; four rounds, each one range.
+ir::Module calloutKernel() {
+  ir::Module mod;
+  {
+    ir::FunctionBuilder g(mod, "wide",
+                          {Type::F64, Type::F64, Type::F64, Type::F64,
+                           Type::F64},
+                          Type::F64);
+    g.ret(g.fadd(g.fmul(g.param(0), g.param(1)),
+                 g.fsub(g.fmul(g.param(2), g.param(3)), g.param(4))));
+    g.finish();
+  }
+  ir::FunctionBuilder b(mod, "main", {Type::PtrF64, Type::I64}, Type::F64);
+  auto x = b.param(0), n = b.param(1);
+  auto first = b.ieq(b.mpRank(), b.constI(0));
+  auto msg = b.alloc(n, Type::F64);
+  b.emitFor(b.constI(0), b.constI(4), [&](ir::Value round) {
+    b.emitIf(
+        first, [&] { b.mpSend(x, n, b.constI(1), b.constI(5)); },
+        [&] { b.mpRecv(msg, n, b.constI(0), b.constI(5)); });
+    b.emitIf(
+        first, [&] { b.mpRecv(msg, n, b.constI(1), b.constI(6)); },
+        [&] { b.mpSend(msg, n, b.constI(0), b.constI(6)); });
+    auto v = b.load(x, b.constI(0));
+    auto s = b.fadd(b.sin_(v), b.fmul(b.load(msg, b.constI(3)), b.itof(round)));
+    auto t = b.alloc(n, Type::F64);
+    b.store(t, b.constI(0), s);
+    auto w = b.call("wide", {v, s, b.load(x, b.constI(1)), s, b.constF(0.5)});
+    // Pointer elements take the slow Load/Store path, here after charges
+    // the range has not written back yet.
+    auto pp = b.alloc(b.constI(2), Type::PtrF64);
+    b.store(pp, b.constI(1), b.ptrOffset(x, b.constI(1)));
+    auto q = b.load(pp, b.isub(b.constI(2), b.constI(1)));
+    b.emitFor(b.constI(0), n, [&](ir::Value i) {
+      b.store(t, i, b.fadd(b.load(x, i), b.fmul(w, b.itof(i))));
+    });
+    b.store(t, b.constI(4), b.fadd(b.load(q, b.constI(2)), w));
+    b.free_(pp);
+    b.emitWhile([&](ir::Value it) {
+      b.store(t, b.constI(1), b.fmul(b.load(t, b.constI(1)), b.constF(0.75)));
+      return b.ilt(it, b.constI(2));
+    });
+    b.emitIf(
+        b.fgt(w, b.constF(0)),
+        [&] { b.store(t, b.constI(3), b.exp_(b.fneg(w))); },
+        [&] { b.store(t, b.constI(3), b.fmul(w, w)); });
+    b.atomicAddF(x, b.constI(2), b.cos_(b.load(t, b.constI(2))));
+    b.emitFor(b.constI(0), n, [&](ir::Value i) {
+      b.store(x, i, b.fmul(b.load(t, i), b.constF(0.5)));
+    });
+    b.free_(t);
+    b.mpBarrier();
+  });
+  b.ret(b.load(x, b.constI(2)));
+  b.finish();
+  ir::verify(mod);
+  return mod;
+}
+
+/// Everything a run of calloutKernel shows: per-rank clocks, buffers and
+/// counters, or the failure report.
+struct ClockOutcome {
+  std::vector<double> clocks;  // each rank's clock when its program returned
+  std::vector<std::vector<double>> x;
+  double makespan = 0;
+  std::uint64_t insts = 0, restores = 0, atomics = 0, messages = 0;
+  std::string error;
+  psim::FailureReport report;  // of a VmError; default otherwise
+};
+
+ClockOutcome runCallouts(std::string_view engine,
+                         const psim::MachineConfig& cfg) {
+  ir::Module mod = calloutKernel();
+  psim::Machine m(cfg);
+  const i64 n = 6;
+  std::vector<psim::RtPtr> xs;
+  for (int r = 0; r < 2; ++r)
+    xs.push_back(makeF64(m, {0.5 + r, -1.25, 3.0, 0.125, 7.5, -0.5}));
+  ClockOutcome o;
+  o.clocks.assign(2, -1.0);
+  try {
+    o.makespan = m.run({2, 1}, [&](psim::RankEnv& env) {
+      interp::Interpreter it(mod, m, engine);
+      it.run(mod.get("main"),
+             {interp::RtVal::P(xs[static_cast<std::size_t>(env.rank)]),
+              interp::RtVal::I(n)},
+             env);
+      o.clocks[static_cast<std::size_t>(env.rank)] = env.main.clock;
+    });
+  } catch (const psim::VmError& e) {
+    o.error = e.what();
+    o.report = e.report();
+    return o;
+  }
+  for (psim::RtPtr p : xs) o.x.push_back(readF64(m, p, n));
+  o.insts = m.stats().instsExecuted;
+  o.restores = m.stats().restores;
+  o.atomics = m.stats().atomicOps;
+  o.messages = m.stats().messages;
+  return o;
+}
+
+/// Expects `got` to match `want` bit for bit: clocks, buffers, counters and
+/// every field of the failure report.
+void expectSameClocks(const ClockOutcome& got, const ClockOutcome& want) {
+  EXPECT_EQ(got.clocks, want.clocks);
+  EXPECT_EQ(got.x, want.x);
+  EXPECT_EQ(got.makespan, want.makespan);
+  EXPECT_EQ(got.insts, want.insts);
+  EXPECT_EQ(got.restores, want.restores);
+  EXPECT_EQ(got.atomics, want.atomics);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.error, want.error);
+  const psim::FailureReport& g = got.report;
+  const psim::FailureReport& r = want.report;
+  EXPECT_EQ(g.kind, r.kind);
+  EXPECT_EQ(g.detail, r.detail);
+  EXPECT_EQ(g.killedRank, r.killedRank);
+  EXPECT_EQ(g.lastEpoch, r.lastEpoch);
+  ASSERT_EQ(g.ranks.size(), r.ranks.size());
+  for (std::size_t k = 0; k < g.ranks.size(); ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(g.ranks[k].rank, r.ranks[k].rank);
+    EXPECT_EQ(g.ranks[k].clock, r.ranks[k].clock);
+    EXPECT_EQ(g.ranks[k].op, r.ranks[k].op);
+    EXPECT_EQ(g.ranks[k].detail, r.ranks[k].detail);
+    EXPECT_EQ(g.ranks[k].peer, r.ranks[k].peer);
+    EXPECT_EQ(g.ranks[k].tag, r.ranks[k].tag);
+    EXPECT_EQ(g.ranks[k].requestId, r.ranks[k].requestId);
+    EXPECT_EQ(g.ranks[k].inboxDepth, r.ranks[k].inboxDepth);
+  }
+  ASSERT_EQ(g.restoreTrail.size(), r.restoreTrail.size());
+  for (std::size_t k = 0; k < g.restoreTrail.size(); ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(g.restoreTrail[k].killedRank, r.restoreTrail[k].killedRank);
+    EXPECT_EQ(g.restoreTrail[k].epoch, r.restoreTrail[k].epoch);
+    EXPECT_EQ(g.restoreTrail[k].killClock, r.restoreTrail[k].killClock);
+    EXPECT_EQ(g.restoreTrail[k].resumeClock, r.restoreTrail[k].resumeClock);
+  }
+}
+
+}  // namespace
+
+TEST(ExecDiff, ClockWriteBackAroundEveryCallout) {
+  psim::MachineConfig cfg;
+  cfg.faults.enabled = true;  // also keeps a PARAD_FAULTS spec out
+  cfg.faults.seed = 21;
+  cfg.faults.ckptInterval = 1;
+  ClockOutcome clean = runCallouts("exec", cfg);
+  {
+    SCOPED_TRACE("clean run");
+    expectSameClocks(clean, runCallouts("tree", cfg));
+    ASSERT_EQ(clean.error, "");
+    EXPECT_GT(clean.clocks[0], 0);
+    EXPECT_EQ(clean.atomics, 8u);
+  }
+  {
+    // Both ranks start round 0 at about 1 ns; the bound falls in its
+    // ping-pong, whose sends and receives each end a block and each move a
+    // clock by hundreds of ns with the default cost model.
+    SCOPED_TRACE("virtual-time watchdog");
+    psim::MachineConfig wd = cfg;
+    wd.watchdogVirtualNs = 300;
+    ClockOutcome o = runCallouts("exec", wd);
+    expectSameClocks(o, runCallouts("tree", wd));
+    EXPECT_EQ(o.report.kind, psim::FailureReport::Kind::Watchdog);
+  }
+  {
+    SCOPED_TRACE("scheduled kill with replay");
+    psim::MachineConfig kill = cfg;
+    kill.faults.seed = 2;  // two crashes land in the run, both replayed
+    kill.faults.killRate = 0.6;
+    kill.faults.killNs = clean.makespan * 0.5;
+    kill.faults.retryBudget = 64;
+    ClockOutcome o = runCallouts("exec", kill);
+    ASSERT_EQ(o.error, "");
+    EXPECT_GT(o.restores, 0u);
+    EXPECT_EQ(o.x, clean.x);
+    ClockOutcome ref = runCallouts("tree", kill);
+    EXPECT_EQ(ref.error, "");
+    EXPECT_EQ(ref.x, o.x);
+    EXPECT_EQ(ref.restores, o.restores);
+    EXPECT_EQ(ref.atomics, o.atomics);
+    SCOPED_TRACE("codegen");
+    expectSameClocks(runCallouts("codegen", kill), o);
+  }
+}
+
+
+// ---------------------------------------------------------------------------
 // Lazy traps: lowering must not fail eagerly on unexecuted bad regions.
 // ---------------------------------------------------------------------------
 
